@@ -28,11 +28,14 @@ def _resolve_lattice(args) -> Rank1Lattice:
     if getattr(args, "preset", None):
         lat = load_lattice(args.preset)
         if lat.n >= _LARGE_N and not getattr(args, "large", False):
-            gib = 3 * 16 * lat.n / 2**30  # two coefficient vectors + frequency table
-            raise SystemExit(
-                f"preset {args.preset!r} has n = {lat.n} (roughly {gib:.1f} GiB working set); "
-                "pass --large to confirm"
-            )
+            msg = f"preset {args.preset!r} has n = {lat.n}"
+            if "scheme" in args:
+                # complex n-vectors: one per distinct nonzero b, the state, its evolving copy
+                # and a kinetic gather; then the real rates and potential, freq and norms2
+                vec = len({b for _, b in scheme(args.scheme).stages if b != 0.0}) + 3
+                gib = (16 * vec + 16 + 4 * lat.d + 8) * lat.n / 2**30
+                msg += f" ({args.scheme} evolve: roughly {gib:.1f} GiB, {vec} complex n-vectors)"
+            raise SystemExit(f"{msg}; pass --large to confirm")
         return lat
     raise SystemExit("specify --preset or --lattice")
 

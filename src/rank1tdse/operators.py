@@ -38,10 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KineticTable:
-    """Per-residue kinetic phase rates ``2 pi^2 eps ||h_xi||^2`` (rad per unit a*dt)."""
+    """Kinetic phase rates ``2 pi^2 eps ||h||^2`` (rad per unit a*dt): ``rates`` per squared
+    norm 0..max||h||^2, ``phases_base = rates[norms2]`` per residue of the set owning ``norms2``."""
 
     phases_base: np.ndarray
     epsilon: float
+    norms2: np.ndarray
+    rates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,20 @@ class PotentialField:
 def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    phases = 2.0 * np.pi**2 * epsilon * aa.norms2.astype(np.float64)
-    return KineticTable(phases, epsilon)
+    rates = 2.0 * np.pi**2 * epsilon * np.arange(aa.max_norm2() + 1, dtype=np.float64)
+    return KineticTable(rates[aa.norms2], epsilon, aa.norms2, rates)
+
+
+def potential_phases(pf: PotentialField, b: float, dt: float, epsilon: float) -> np.ndarray:
+    """``exp(-i b dt v(p_k) / eps)`` at every lattice point."""
+    return np.exp(-1j * (b * dt / epsilon) * pf.values)
+
+
+def potential_stage(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Inverse transform, times ``phases``, forward transform (1/n and n cancel), in place."""
+    x = scipy.fft.ifft(coeffs, overwrite_x=True)
+    x *= phases
+    return scipy.fft.fft(x, overwrite_x=True)
 
 
 def kinetic_apply(state: SpectralState, kt: KineticTable, a: float, dt: float) -> SpectralState:
@@ -71,17 +86,12 @@ def kinetic_apply(state: SpectralState, kt: KineticTable, a: float, dt: float) -
 
 def potential_apply(state: SpectralState, pf: PotentialField, b: float, dt: float,
                     epsilon: float) -> SpectralState:
-    """Apply ``exp(-i b dt v(p_k) / eps)`` pointwise in nodal space.
-
-    Implemented as inverse transform, diagonal phase multiply, forward
-    transform; the 1/n and n normalization factors cancel.
-    """
+    """Apply ``exp(-i b dt v(p_k) / eps)`` pointwise in nodal space (see ``potential_stage``)."""
     if pf.values.shape != state.coeffs.shape:
         raise ValueError("potential field and state have different sizes")
     if b == 0.0 or dt == 0.0:
         return state.copy()
-    phase = np.exp(-1j * (b * dt / epsilon) * pf.values)
-    coeffs = scipy.fft.fft(scipy.fft.ifft(state.coeffs) * phase)
+    coeffs = potential_stage(state.coeffs.copy(), potential_phases(pf, b, dt, epsilon))
     return SpectralState(coeffs, state.aa, state.time)
 
 

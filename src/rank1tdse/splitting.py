@@ -4,6 +4,12 @@ One step applies the stage product right-to-left: for j = s down to 1 the
 kinetic phase with weight ``a_j`` and then the potential phase with weight
 ``b_j``.  All shipped coefficient tables are real and palindromic, each sums
 to one, and stages with a zero weight are skipped (no transform executed).
+
+Each ``evolve`` call builds one stage plan for all its steps, so pass m steps
+rather than looping over single steps.  The plan keeps one complex n-vector per
+distinct nonzero ``b`` (strang 1, s9odr6a 5, s17odr8a 9) and, per distinct
+nonzero ``a``, a phase table over ||h||^2 = 0..max gathered through ``norms2``;
+with the evolving state and one gather, a call holds that count + 2 n-vectors.
 """
 
 from __future__ import annotations
@@ -13,9 +19,8 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .operators import KineticTable, PotentialField
+from .operators import KineticTable, PotentialField, potential_phases, potential_stage
 from .transform import SpectralState
 
 __all__ = [
@@ -135,35 +140,10 @@ def scheme_from_json(doc) -> SplittingScheme:
     return SplittingScheme(doc["name"], int(doc["order"]), tuple(zip(map(float, a), map(float, b))))
 
 
-def _stage_multipliers(sch: SplittingScheme, kt: KineticTable, pf: PotentialField,
-                       dt: float, epsilon: float):
-    """Precompute per-stage phase vectors in right-to-left application order."""
-    mults = []
-    for a, b in reversed(sch.stages):
-        kin = np.exp(-1j * a * dt * kt.phases_base) if a != 0.0 else None
-        pot = np.exp(-1j * (b * dt / epsilon) * pf.values) if b != 0.0 else None
-        mults.append((kin, pot))
-    return mults
-
-
-def _check_components(state: SpectralState, kt: KineticTable, pf: PotentialField) -> None:
-    n = state.coeffs.shape[0]
-    if kt.phases_base.shape[0] != n or pf.values.shape[0] != n:
-        raise ValueError("state, kinetic table and potential field sizes disagree")
-
-
 def step(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: PotentialField,
          dt: float, epsilon: float) -> SpectralState:
     """One splitting step of size ``dt``; advances the state time by ``dt``."""
-    _check_components(state, kt, pf)
-    coeffs = state.coeffs.copy()
-    for kin, pot in _stage_multipliers(sch, kt, pf, dt, epsilon):
-        if kin is not None:
-            coeffs *= kin
-        if pot is not None:
-            coeffs = scipy.fft.fft(scipy.fft.ifft(coeffs, overwrite_x=True) * pot,
-                                   overwrite_x=True)
-    return SpectralState(coeffs, state.aa, state.time + dt)
+    return evolve(state, sch, kt, pf, 1, dt, epsilon)[0]
 
 
 def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: PotentialField,
@@ -171,17 +151,23 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
     """Run ``m`` successive steps of size ``dt``; deterministic for fixed inputs."""
     if m < 1:
         raise ValueError("step count m must be >= 1")
-    _check_components(state, kt, pf)
-    mults = _stage_multipliers(sch, kt, pf, dt, epsilon)
+    if pf.values.shape != state.coeffs.shape:
+        raise ValueError("state and potential field sizes disagree")
+    if not (kt.norms2 is state.aa.norms2 or np.array_equal(kt.norms2, state.aa.norms2)):
+        raise ValueError("kinetic table was built from another anti-aliasing set than the state's")
+    # copied before the plan is built, so that the plan's arrays lie above the
+    # result on the heap and go back to the system when the call returns
     coeffs = state.coeffs.copy()
+    # the stage plan: one phase array per distinct nonzero weight
+    kin = {a: np.exp(-1j * a * dt * kt.rates) for a in {a for a, _ in sch.stages} - {0.0}}
+    pot = {b: potential_phases(pf, b, dt, epsilon) for b in {b for _, b in sch.stages} - {0.0}}
     t0 = _time.perf_counter()
     for k in range(m):
-        for kin, pot in mults:
-            if kin is not None:
-                coeffs *= kin
-            if pot is not None:
-                coeffs = scipy.fft.fft(scipy.fft.ifft(coeffs, overwrite_x=True) * pot,
-                                       overwrite_x=True)
+        for a, b in reversed(sch.stages):
+            if a != 0.0:
+                coeffs *= kin[a][kt.norms2]
+            if b != 0.0:
+                coeffs = potential_stage(coeffs, pot[b])
         if not np.all(np.isfinite(coeffs)):
             raise FloatingPointError(f"non-finite coefficients after step {k + 1} of {m}")
     wall = _time.perf_counter() - t0

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from rank1tdse import antialias
 from rank1tdse.diagnostics import dense_multiplication_operator
-from rank1tdse.lattice import Rank1Lattice
+from rank1tdse.lattice import Rank1Lattice, cbc_construct
 from rank1tdse.operators import (
     kinetic_apply,
     make_gaussian,
@@ -141,6 +143,61 @@ def test_size_mismatch_rejected(setup):
     pf = make_potential("smooth_v1", other)
     with pytest.raises(ValueError, match="sizes disagree"):
         step(s["st"], scheme("strang"), s["kt"], pf, 0.1, 1.0)
+
+
+def test_kinetic_table_from_another_set_rejected(setup):
+    """A kinetic table of an equal-n lattice with another z is not the state's."""
+    s = setup
+    other = antialias.build(Rank1Lattice(2, 64, (1, 27)))
+    assert not np.array_equal(other.norms2, s["aa"].norms2)
+    with pytest.raises(ValueError, match="another anti-aliasing set"):
+        evolve(s["st"], scheme("strang"), make_kinetic(other), s["pf"], 2, 0.1, 1.0)
+
+
+# Not palindromic; repeated a and b weights, a zero b and a nonzero last a.
+_UNEVEN = scheme_from_json({"name": "uneven", "order": 1,
+                            "a": [0.3, 0.3, 0.1, 0.3], "b": [0.2, 0.6, 0.2, 0.0]})
+
+
+def _reference_evolve(st, sch, kt, pf, m, dt, epsilon):
+    """Stage by stage, right to left, with the single-stage operators."""
+    for _ in range(m):
+        for a, b in reversed(sch.stages):
+            st = potential_apply(kinetic_apply(st, kt, a, dt), pf, b, dt, epsilon)
+    return st
+
+
+@pytest.mark.parametrize("sch", [scheme(name) for name in SCHEME_NAMES] + [_UNEVEN],
+                         ids=lambda sch: sch.name)
+def test_evolve_equals_stage_composition(setup, sch):
+    s = setup
+    out, _ = evolve(s["st"], sch, s["kt"], s["pf"], 3, 0.05, 1.0)
+    want = _reference_evolve(s["st"], sch, s["kt"], s["pf"], 3, 0.05, 1.0)
+    assert np.array_equal(out.coeffs, want.coeffs)
+
+
+@pytest.fixture(scope="module")
+def cbc_d3():
+    lat = cbc_construct(3, 2**12)
+    aa = antialias.build(lat)
+    return lat, aa
+
+
+@pytest.mark.parametrize("name,vectors", [
+    ("s9odr6a", 9),     # 5 distinct nonzero b + 4
+    ("s17odr8a", 13),   # 9 distinct nonzero b + 4
+])
+def test_evolve_memory_is_one_array_per_distinct_potential_weight(cbc_d3, name, vectors):
+    """Traced peak of one evolve call, in complex n-vectors."""
+    lat, aa = cbc_d3
+    kt, pf, st = make_kinetic(aa), make_potential("smooth_v1", lat), make_gaussian(aa)
+    tracemalloc.start()
+    try:
+        evolve(st, scheme(name), kt, pf, 3, 0.01, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vectors * 16 * lat.n, f"peak {peak / (16 * lat.n):.1f} n-vectors"
 
 
 def _dense_order(s, pf, name, ms):
