@@ -30,11 +30,9 @@ def _resolve_lattice(args) -> Rank1Lattice:
         if lat.n >= _LARGE_N and not getattr(args, "large", False):
             msg = f"preset {args.preset!r} has n = {lat.n}"
             if "scheme" in args:
-                # complex n-vectors: one per distinct nonzero b, the state, its evolving copy
-                # and a kinetic gather; then the real rates and potential, freq and norms2
-                vec = len({b for _, b in scheme(args.scheme).stages if b != 0.0}) + 3
-                gib = (16 * vec + 16 + 4 * lat.d + 8) * lat.n / 2**30
-                msg += f" ({args.scheme} evolve: roughly {gib:.1f} GiB, {vec} complex n-vectors)"
+                vec = scheme(args.scheme).plan_vectors()
+                gib = 16 * vec * lat.n / 2**30
+                msg += f" ({args.scheme} evolve holds {vec} complex n-vectors, {gib:.1f} GiB)"
             raise SystemExit(f"{msg}; pass --large to confirm")
         return lat
     raise SystemExit("specify --preset or --lattice")
@@ -44,7 +42,7 @@ def _add_lattice_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS), help="built-in lattice preset")
     p.add_argument("--lattice", help="path to a JSON file {d, n, z}")
     p.add_argument("--large", action="store_true",
-                   help="allow presets with n >= 2^22 (prints a memory estimate)")
+                   help="allow presets with n >= 2^22 (solve's refusal estimates memory)")
 
 
 def _cmd_lattice(args) -> int:

@@ -38,13 +38,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KineticTable:
-    """Kinetic phase rates ``2 pi^2 eps ||h||^2`` (rad per unit a*dt): ``rates`` per squared
-    norm 0..max||h||^2, ``phases_base = rates[norms2]`` per residue of the set owning ``norms2``."""
+    """Kinetic rates ``2 pi^2 eps ||h||^2`` (at most n); residue k has ``rates[index[k]]``."""
 
-    phases_base: np.ndarray
     epsilon: float
     norms2: np.ndarray
     rates: np.ndarray
+    index: np.ndarray
+
+    @property
+    def phases_base(self) -> np.ndarray:
+        return self.rates[self.index]
+
+    def phases(self, a: float, dt: float) -> np.ndarray:
+        """``exp(-i a dt rate)`` per entry of ``rates``, to be gathered through ``index``."""
+        return np.exp(-1j * a * dt * self.rates)
 
 
 @dataclass(frozen=True)
@@ -54,17 +61,21 @@ class PotentialField:
     values: np.ndarray
     kind: str
 
+    def phases(self, b: float, dt: float, epsilon: float) -> np.ndarray:
+        """``exp(-i b dt v(p_k) / eps)`` at every lattice point."""
+        return np.exp(-1j * (b * dt / epsilon) * self.values)
+
 
 def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    rates = 2.0 * np.pi**2 * epsilon * np.arange(aa.max_norm2() + 1, dtype=np.float64)
-    return KineticTable(rates[aa.norms2], epsilon, aa.norms2, rates)
-
-
-def potential_phases(pf: PotentialField, b: float, dt: float, epsilon: float) -> np.ndarray:
-    """``exp(-i b dt v(p_k) / eps)`` at every lattice point."""
-    return np.exp(-1j * (b * dt / epsilon) * pf.values)
+    # one rate per norm 0..max||h||^2 while that is no longer than the set (no sort needed);
+    # else (d = 1, non-minimal sets: up to n^2/4) one per distinct norm, so at most n
+    if aa.max_norm2() < aa.n:
+        norms, index = np.arange(aa.max_norm2() + 1), aa.norms2
+    else:
+        norms, index = np.unique(aa.norms2, return_inverse=True)
+    return KineticTable(epsilon, aa.norms2, 2.0 * np.pi**2 * epsilon * norms, index)
 
 
 def potential_stage(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -76,11 +87,11 @@ def potential_stage(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 def kinetic_apply(state: SpectralState, kt: KineticTable, a: float, dt: float) -> SpectralState:
     """Multiply each coefficient by ``exp(-i a dt * phase_xi)``."""
-    if kt.phases_base.shape != state.coeffs.shape:
+    if kt.index.shape != state.coeffs.shape:
         raise ValueError("kinetic table and state have different sizes")
     if a == 0.0 or dt == 0.0:
         return state.copy()
-    coeffs = state.coeffs * np.exp(-1j * a * dt * kt.phases_base)
+    coeffs = state.coeffs * kt.phases(a, dt)[kt.index]
     return SpectralState(coeffs, state.aa, state.time)
 
 
@@ -91,7 +102,7 @@ def potential_apply(state: SpectralState, pf: PotentialField, b: float, dt: floa
         raise ValueError("potential field and state have different sizes")
     if b == 0.0 or dt == 0.0:
         return state.copy()
-    coeffs = potential_stage(state.coeffs.copy(), potential_phases(pf, b, dt, epsilon))
+    coeffs = potential_stage(state.coeffs.copy(), pf.phases(b, dt, epsilon))
     return SpectralState(coeffs, state.aa, state.time)
 
 

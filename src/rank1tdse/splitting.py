@@ -6,10 +6,9 @@ kinetic phase with weight ``a_j`` and then the potential phase with weight
 to one, and stages with a zero weight are skipped (no transform executed).
 
 Each ``evolve`` call builds one stage plan for all its steps, so pass m steps
-rather than looping over single steps.  The plan keeps one complex n-vector per
-distinct nonzero ``b`` (strang 1, s9odr6a 5, s17odr8a 9) and, per distinct
-nonzero ``a``, a phase table over ||h||^2 = 0..max gathered through ``norms2``;
-with the evolving state and one gather, a call holds that count + 2 n-vectors.
+rather than looping over single steps.  The plan holds one phase n-vector per
+distinct nonzero ``b`` and one phase table over the kinetic table's rates (at
+most n) per distinct nonzero ``a`` (see ``SplittingScheme.plan_vectors``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import KineticTable, PotentialField, potential_phases, potential_stage
+from .operators import KineticTable, PotentialField, potential_stage
 from .transform import SpectralState
 
 __all__ = [
@@ -54,6 +53,10 @@ class SplittingScheme:
             raise ValueError(
                 f"scheme {self.name!r}: stage sums ({sa}, {sb}) must both equal 1"
             )
+
+    def plan_vectors(self) -> int:
+        """Complex n-vectors ``evolve`` holds: one per distinct nonzero b, state, copy, gather."""
+        return len({b for _, b in self.stages} - {0.0}) + 3
 
 
 @dataclass
@@ -158,14 +161,13 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
     # copied before the plan is built, so that the plan's arrays lie above the
     # result on the heap and go back to the system when the call returns
     coeffs = state.coeffs.copy()
-    # the stage plan: one phase array per distinct nonzero weight
-    kin = {a: np.exp(-1j * a * dt * kt.rates) for a in {a for a, _ in sch.stages} - {0.0}}
-    pot = {b: potential_phases(pf, b, dt, epsilon) for b in {b for _, b in sch.stages} - {0.0}}
+    kin = {a: kt.phases(a, dt) for a in {a for a, _ in sch.stages} - {0.0}}
+    pot = {b: pf.phases(b, dt, epsilon) for b in {b for _, b in sch.stages} - {0.0}}
     t0 = _time.perf_counter()
     for k in range(m):
         for a, b in reversed(sch.stages):
             if a != 0.0:
-                coeffs *= kin[a][kt.norms2]
+                coeffs *= kin[a][kt.index]
             if b != 0.0:
                 coeffs = potential_stage(coeffs, pot[b])
         if not np.all(np.isfinite(coeffs)):

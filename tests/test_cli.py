@@ -40,14 +40,14 @@ def test_large_preset_guard(capsys):
         main(["aaset", "build", "--preset", "paper-d6"])
 
 
-@pytest.mark.parametrize("name,gib,vectors", [
-    ("strang", "1.8", 4),      # 1 distinct potential weight + 3
-    ("s17odr8a", "3.8", 12),   # 9 distinct potential weights + 3
+@pytest.mark.parametrize("name,vectors,gib", [
+    ("strang", 4, "1.0"),      # 1 distinct potential weight + 3
+    ("s17odr8a", 12, "3.0"),   # 9 distinct potential weights + 3
 ])
-def test_large_preset_estimate_counts_scheme_arrays(capsys, name, gib, vectors):
-    """n = 2^24, d = 6: vectors * 16n bytes, 16n for the real tables, 32n for the set."""
+def test_large_preset_estimate_counts_scheme_arrays(capsys, name, vectors, gib):
+    """n = 2^24: vectors * 16n bytes."""
     with pytest.raises(SystemExit,
-                       match=rf"roughly {gib} GiB, {vectors} complex n-vectors.*--large"):
+                       match=rf"{name} evolve holds {vectors} complex n-vectors, {gib} GiB.*--large"):
         main(["solve", "--preset", "paper-d6", "--scheme", name])
 
 

@@ -38,6 +38,27 @@ def test_kinetic_zero_frequency_slot(small):
     assert out.coeffs[0] == st.coeffs[0]
 
 
+def test_kinetic_table_is_bounded_by_n_in_d1():
+    """In d=1 max||h||^2 = n^2/4, but the table holds one rate per distinct norm, at most n."""
+    aa = antialias.build(Rank1Lattice(1, 2**12, (1,)))
+    assert aa.max_norm2() == 2**22
+    kt = make_kinetic(aa, epsilon=0.5)
+    assert kt.rates.size <= aa.n and kt.index.shape == (aa.n,)
+    assert np.array_equal(kt.phases_base, 2.0 * np.pi**2 * 0.5 * aa.norms2)
+    out = kinetic_apply(random_state(aa), kt, a=0.7, dt=0.3)
+    assert abs(l2_norm(out) - 1.0) < 1e-12
+
+
+def test_kinetic_table_over_all_norms_equals_distinct_norms(small):
+    """Below n the table runs over 0..max||h||^2; both layouts give the same phases."""
+    _, aa = small
+    kt = make_kinetic(aa)
+    assert kt.rates.size == aa.max_norm2() + 1 and kt.index is aa.norms2
+    norms, index = np.unique(aa.norms2, return_inverse=True)
+    assert np.array_equal(kt.phases(0.7, 0.3)[kt.index],
+                          np.exp(-1j * 0.7 * 0.3 * (2.0 * np.pi**2 * norms))[index])
+
+
 def test_kinetic_zero_coefficient_is_identity(small):
     _, aa = small
     kt = make_kinetic(aa)
