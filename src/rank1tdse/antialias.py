@@ -3,15 +3,16 @@
 For a rank-1 lattice (z, n) the anti-aliasing set picks, for every residue
 ``xi = h . z mod n``, one integer frequency vector ``h_xi`` of that residue
 with the smallest Euclidean norm.  The build enumerates integer vectors in
-balls of growing radius, sorts them by (squared norm, lexicographic order)
-and keeps the first vector seen per residue, so the result is reproducible
-bit for bit.
+bands of ascending squared norm, sorts each band by (squared norm,
+lexicographic order) and keeps the first vector seen per residue, so the
+result is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,9 +33,12 @@ __all__ = [
 
 _MAGIC = b"AASET1"
 
+#: Candidates per band of the build's scan (estimated from the d-ball volume).
+_BAND = 1 << 18
+
 
 class BudgetExceededError(RuntimeError):
-    """Raised when the enumeration ball outgrows the candidate budget."""
+    """Raised when the build would scan more candidates than its budget."""
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,9 @@ class AntiAliasingSet:
         n, d = self.lattice.n, self.lattice.d
         if self.freq.shape != (n, d):
             raise ValueError(f"freq has shape {self.freq.shape}, expected {(n, d)}")
-        res = self.residues(self.freq)
-        if not np.array_equal(np.sort(res), np.arange(n)):
+        seen = np.zeros(n, dtype=bool)
+        seen[self.residues(self.freq)] = True
+        if not seen.all():
             raise ValueError("representatives do not cover every residue exactly once")
 
     @property
@@ -59,8 +64,7 @@ class AntiAliasingSet:
 
     def residues(self, h) -> np.ndarray:
         """``h . z mod n`` for a (..., d) array of frequency vectors."""
-        z = np.asarray(self.lattice.z, dtype=np.int64)
-        return (np.asarray(h, dtype=np.int64) @ z) % self.lattice.n
+        return _residues(np.asarray(h), self.lattice)
 
     def residue_lookup(self, h) -> int:
         """The residue class index of a single frequency vector."""
@@ -72,7 +76,19 @@ class AntiAliasingSet:
 
     def sha256(self) -> str:
         """Content hash of the serialized set (same bytes as the cache file)."""
-        return hashlib.sha256(_serialize(self)).hexdigest()
+        digest = hashlib.sha256()
+        for part in _serialize(self):
+            digest.update(part)
+        return digest.hexdigest()
+
+
+def _residues(h: np.ndarray, lattice: Rank1Lattice) -> np.ndarray:
+    """``h . z mod n``, accumulated column by column in int64."""
+    res = np.zeros(h.shape[:-1], dtype=np.int64)
+    for j, zj in enumerate(lattice.z):
+        res += h[..., j].astype(np.int64) * zj
+        res %= lattice.n
+    return res
 
 
 def _zhash(lattice: Rank1Lattice) -> int:
@@ -80,40 +96,67 @@ def _zhash(lattice: Rank1Lattice) -> int:
     return int.from_bytes(hashlib.sha256(raw).digest()[:8], "little")
 
 
-def _ball(d: int, r2: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """All integer vectors with squared norm <= r2, with their squared norms."""
-    rmax = math.isqrt(r2)
-    vals = np.arange(-rmax, rmax + 1, dtype=np.int64)
-    pts = vals[:, None]
-    ssq = vals * vals
-    for _ in range(1, d):
-        parts, sq = [], []
-        total = 0
-        for v in vals:
-            mask = ssq + v * v <= r2
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            total += cnt
-            if total > budget:
-                raise BudgetExceededError(
-                    f"enumeration ball r2={r2} exceeds candidate budget {budget}"
-                )
-            sub = pts[mask]
-            parts.append(np.hstack([sub, np.full((cnt, 1), v, dtype=np.int64)]))
-            sq.append(ssq[mask] + v * v)
-        pts = np.vstack(parts)
-        ssq = np.concatenate(sq)
-    if len(pts) > budget:
-        raise BudgetExceededError(f"enumeration ball r2={r2} exceeds candidate budget {budget}")
-    return pts, ssq
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``floor(sqrt(x))`` of a non-negative int64 array, exact."""
+    s = np.sqrt(x).astype(np.int64)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
+
+
+def _extend(pre: np.ndarray, pre2: np.ndarray, lo: int, hi: int,
+            room: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Append a last coordinate: every ``(p, t)`` with ``lo <= |p|^2 + t^2 <= hi``.
+
+    Per prefix ``p`` the coordinate ``t`` runs over ``-top..-max(low, 1)`` and
+    then ``low..top``, with ``low = ceil(sqrt(lo - |p|^2))`` (0 inside ``lo``)
+    and ``top = floor(sqrt(hi - |p|^2))``, so lexicographically ordered
+    prefixes give lexicographically ordered vectors.  Raises
+    :class:`BudgetExceededError` before allocating more than ``room`` vectors.
+    """
+    top = _isqrt(hi - pre2)
+    low = np.where(pre2 >= lo, 0, _isqrt(np.maximum(lo - pre2 - 1, 0)) + 1)
+    keep = np.flatnonzero(low <= top)
+    pre, pre2, top, low = pre[keep], pre2[keep], top[keep], low[keep]
+    starts = np.column_stack([-top, low]).ravel()
+    counts = np.column_stack([top - np.maximum(low, 1) + 1, top - low + 1]).ravel()
+    total = int(counts.sum())
+    if total > room:
+        raise BudgetExceededError(f"band {lo}..{hi} of ||h||^2 needs {total} more candidates, "
+                                  f"only {room} left in the budget")
+    owner = np.repeat(np.arange(len(counts)) // 2, counts)
+    t = np.arange(total, dtype=np.int64) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.column_stack([pre[owner], t.astype(np.int32)]), pre2[owner] + t * t
+
+
+def _band(d: int, lo: int, hi: int, room: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors with ``lo <= ||h||^2 <= hi``, sorted by (squared norm, lexicographic order).
+
+    The last coordinate extends a (d-1)-dimensional prefix ball built
+    coordinate by coordinate in lexicographic order, so a stable sort by
+    squared norm finishes the band.
+    """
+    pre, pre2 = np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=np.int64)
+    for _ in range(d - 1):
+        pre, pre2 = _extend(pre, pre2, 0, hi)
+    pts, ssq = _extend(pre, pre2, lo, hi, room)
+    order = np.argsort(ssq, kind="stable")
+    return pts[order], ssq[order]
+
+
+def _unit_volume(d: int) -> float:
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 def _initial_r2(d: int, n: int) -> int:
     # d-ball volume heuristic aiming at >= 2n candidates
-    vol_unit = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-    r = (2.0 * n / vol_unit) ** (1.0 / d)
+    r = (2.0 * n / _unit_volume(d)) ** (1.0 / d)
     return max(1, math.ceil(r * r))
+
+
+def _band_end(d: int, lo: int) -> int:
+    """Largest hi >= lo whose band lo..hi holds about ``_BAND`` candidates (by d-ball volume)."""
+    return max(lo, math.floor((lo ** (d / 2.0) + _BAND / _unit_volume(d)) ** (2.0 / d)))
 
 
 def build(lattice: Rank1Lattice, budget: int = 1 << 28) -> AntiAliasingSet:
@@ -121,27 +164,26 @@ def build(lattice: Rank1Lattice, budget: int = 1 << 28) -> AntiAliasingSet:
 
     Candidates are scanned in ascending squared-norm order with ties broken
     lexicographically on the signed coordinates; the first vector of each
-    unseen residue wins.  The radius doubles (in r^2) until all ``n``
-    residues are covered.
+    unseen residue wins.  The scan runs in bands of consecutive squared
+    norms holding about ``_BAND`` candidates each, so memory stays bounded
+    by the set plus one band; a band never crosses ``_initial_r2`` or a
+    doubling of it.  The scan stops once all ``n`` residues are covered.
 
-    Raises :class:`BudgetExceededError` if the enumeration would exceed
-    ``budget`` candidate vectors.
+    Raises :class:`BudgetExceededError` before a band is allocated if the
+    candidates scanned in total (all bands so far plus this one) would
+    exceed ``budget``.
     """
     n, d = lattice.n, lattice.d
-    z = np.asarray(lattice.z, dtype=np.int64)
     freq = np.zeros((n, d), dtype=np.int32)
     norms2 = np.full(n, -1, dtype=np.int64)
     found = np.zeros(n, dtype=bool)
-
-    r2_prev = -1
-    r2 = _initial_r2(d, n)
-    while True:
-        pts, ssq = _ball(d, r2, budget)
-        ann = ssq > r2_prev  # only the new annulus; earlier shells already scanned
-        pts, ssq = pts[ann], ssq[ann]
-        order = np.lexsort(tuple(pts[:, j] for j in range(d - 1, -1, -1)) + (ssq,))
-        pts, ssq = pts[order], ssq[order]
-        res = (pts @ z) % n
+    left, scanned = n, 0
+    lo, edge = 0, _initial_r2(d, n)
+    while left:
+        hi = min(edge, _band_end(d, lo))
+        pts, ssq = _band(d, lo, hi, budget - scanned)
+        scanned += len(ssq)
+        res = _residues(pts, lattice)
         new = ~found[res]
         if new.any():
             res_new, pts_new, ssq_new = res[new], pts[new], ssq[new]
@@ -149,21 +191,39 @@ def build(lattice: Rank1Lattice, budget: int = 1 << 28) -> AntiAliasingSet:
             freq[uniq] = pts_new[first]
             norms2[uniq] = ssq_new[first]
             found[uniq] = True
-        if found.all():
-            break
-        r2_prev = r2
-        r2 *= 2
+            left -= len(uniq)
+        lo = hi + 1
+        if hi == edge:
+            edge *= 2
     return AntiAliasingSet(lattice, freq, norms2)
 
 
-def _serialize(aa: AntiAliasingSet) -> bytes:
+def _serialize(aa: AntiAliasingSet) -> tuple[bytes, np.ndarray]:
+    """Header and little-endian int32 frequency table, the cache file's two parts."""
     lat = aa.lattice
     header = _MAGIC + struct.pack("<IQQ", lat.d, lat.n, _zhash(lat))
-    return header + aa.freq.astype("<i4").tobytes()
+    return header, np.ascontiguousarray(aa.freq, dtype="<i4")
+
+
+def _write_atomic(path, parts) -> None:
+    """Write ``parts`` to a temporary file beside ``path``, then rename it onto ``path``.
+
+    A failed write leaves ``path`` as it was and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_cache(aa: AntiAliasingSet, path) -> None:
-    Path(path).write_bytes(_serialize(aa))
+    _write_atomic(path, _serialize(aa))
 
 
 def load_cache(path, lattice: Rank1Lattice) -> AntiAliasingSet:

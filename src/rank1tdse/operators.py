@@ -53,6 +53,11 @@ class KineticTable:
         """``exp(-i a dt rate)`` per entry of ``rates``, to be gathered through ``index``."""
         return np.exp(-1j * a * dt * self.rates)
 
+    def check_set(self, aa: AntiAliasingSet) -> None:
+        """Raise ``ValueError`` unless this table was built from ``aa`` (same squared norms)."""
+        if not (self.norms2 is aa.norms2 or np.array_equal(self.norms2, aa.norms2)):
+            raise ValueError("kinetic table was built from another anti-aliasing set than the state's")
+
 
 @dataclass(frozen=True)
 class PotentialField:
@@ -87,8 +92,7 @@ def potential_stage(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 def kinetic_apply(state: SpectralState, kt: KineticTable, a: float, dt: float) -> SpectralState:
     """Multiply each coefficient by ``exp(-i a dt * phase_xi)``."""
-    if kt.index.shape != state.coeffs.shape:
-        raise ValueError("kinetic table and state have different sizes")
+    kt.check_set(state.aa)
     if a == 0.0 or dt == 0.0:
         return state.copy()
     coeffs = state.coeffs * kt.phases(a, dt)[kt.index]

@@ -156,8 +156,7 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
         raise ValueError("step count m must be >= 1")
     if pf.values.shape != state.coeffs.shape:
         raise ValueError("state and potential field sizes disagree")
-    if not (kt.norms2 is state.aa.norms2 or np.array_equal(kt.norms2, state.aa.norms2)):
-        raise ValueError("kinetic table was built from another anti-aliasing set than the state's")
+    kt.check_set(state.aa)
     # copied before the plan is built, so that the plan's arrays lie above the
     # result on the heap and go back to the system when the call returns
     coeffs = state.coeffs.copy()

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.fft
 
-from .antialias import AntiAliasingSet
+from .antialias import AntiAliasingSet, _write_atomic
 from .lattice import Rank1Lattice
 
 __all__ = [
@@ -104,13 +104,15 @@ def l2_norm(state: SpectralState) -> float:
 
 
 def save_snapshot(state: SpectralState, path) -> None:
-    """Write ``{n, time, interleaved re/im doubles}`` little-endian."""
+    """Write ``{n, time, interleaved re/im doubles}`` little-endian, atomically."""
     head = struct.pack("<qd", state.aa.n, state.time)
-    Path(path).write_bytes(head + state.coeffs.astype("<c16").tobytes())
+    _write_atomic(path, (head, np.ascontiguousarray(state.coeffs, dtype="<c16")))
 
 
 def load_snapshot(path, aa: AntiAliasingSet) -> SpectralState:
     raw = Path(path).read_bytes()
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated snapshot ({len(raw)} bytes, header needs 16)")
     n, time = struct.unpack("<qd", raw[:16])
     if n != aa.n:
         raise ValueError(f"{path}: snapshot has n={n}, anti-aliasing set has n={aa.n}")

@@ -1,8 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rank1tdse import antialias
-from rank1tdse.lattice import Rank1Lattice
+from rank1tdse.lattice import Rank1Lattice, cbc_construct
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +24,104 @@ def brute_force_min_norms(lat, box_radius):
     best = np.full(lat.n, np.iinfo(np.int64).max)
     np.minimum.at(best, res, n2)
     return best
+
+
+def _reference_ball(d, r2):
+    """All integer vectors with squared norm <= r2, with their squared norms."""
+    rmax = math.isqrt(r2)
+    vals = np.arange(-rmax, rmax + 1, dtype=np.int64)
+    pts = vals[:, None]
+    ssq = vals * vals
+    for _ in range(1, d):
+        parts, sq = [], []
+        for v in vals:
+            mask = ssq + v * v <= r2
+            if mask.any():
+                parts.append(np.hstack([pts[mask], np.full((int(mask.sum()), 1), v, dtype=np.int64)]))
+                sq.append(ssq[mask] + v * v)
+        pts, ssq = np.vstack(parts), np.concatenate(sq)
+    return pts, ssq
+
+
+def _reference_build(lat):
+    """Whole-ball build: sort each doubled ball's new annulus by (norm, lex), first per residue wins."""
+    n, d = lat.n, lat.d
+    z = np.asarray(lat.z, dtype=np.int64)
+    freq = np.zeros((n, d), dtype=np.int32)
+    norms2 = np.full(n, -1, dtype=np.int64)
+    found = np.zeros(n, dtype=bool)
+    vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    r2_prev, r2 = -1, max(1, math.ceil((2.0 * n / vol) ** (2.0 / d)))
+    while not found.all():
+        pts, ssq = _reference_ball(d, r2)
+        ann = ssq > r2_prev
+        pts, ssq = pts[ann], ssq[ann]
+        order = np.lexsort(tuple(pts[:, j] for j in range(d - 1, -1, -1)) + (ssq,))
+        pts, ssq = pts[order], ssq[order]
+        res = (pts @ z) % n
+        new = ~found[res]
+        uniq, first = np.unique(res[new], return_index=True)
+        freq[uniq] = pts[new][first]
+        norms2[uniq] = ssq[new][first]
+        found[uniq] = True
+        r2_prev, r2 = r2, 2 * r2
+    return freq, norms2
+
+
+ORACLE_LATTICES = {
+    "d1-tie": lambda: Rank1Lattice(1, 4, (1,)),  # residue 2 ties -2 and +2
+    "d1-wide": lambda: Rank1Lattice(1, 2**12, (1,)),  # max ||h||^2 = n^2 / 4 >= n
+    "tiny": lambda: Rank1Lattice(2, 5, (1, 3)),
+    "d2-wide": lambda: Rank1Lattice(2, 256, (1, 1)),  # max ||h||^2 = 8192 >= n
+    "d2": lambda: Rank1Lattice(2, 1024, (1, 275)),
+    "cbc-d3": lambda: cbc_construct(3, 2**10),
+    "d3": lambda: Rank1Lattice(3, 512, (1, 131, 217)),
+    "d4": lambda: Rank1Lattice(4, 512, (1, 149, 113, 207)),
+    "d5": lambda: Rank1Lattice(5, 256, (1, 75, 23, 57, 31)),
+}
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_LATTICES))
+def oracle_case(request):
+    lat = ORACLE_LATTICES[request.param]()
+    return lat, _reference_build(lat)
+
+
+@pytest.mark.parametrize("band", ["default", "small"])
+def test_build_equals_whole_ball_reference(oracle_case, band, monkeypatch):
+    """The band-by-band build picks the reference's vectors bit for bit, with any band size."""
+    lat, (freq, norms2) = oracle_case
+    calls = []
+    band_fn = antialias._band
+    monkeypatch.setattr(antialias, "_band", lambda *a: calls.append(a) or band_fn(*a))
+    if band == "small":
+        # about 3 candidates per band: most bands are one shell that holds more
+        monkeypatch.setattr(antialias, "_BAND", 3)
+    aa = antialias.build(lat)
+    assert np.array_equal(aa.freq, freq) and aa.freq.dtype == np.int32
+    assert np.array_equal(aa.norms2, norms2) and aa.norms2.dtype == np.int64
+    # bands are consecutive ranges of squared norms starting at 0
+    assert [a[1] for a in calls] == [0] + [a[2] + 1 for a in calls[:-1]]
+    if band == "small" and aa.max_norm2() > 0:
+        assert len(calls) >= 2
+
+
+def test_build_memory_is_set_plus_band(monkeypatch):
+    """A desk-scale d = 4 build peaks at O(n d + band) bytes; the whole-ball reference does not."""
+    lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))  # cbc_construct(4, 2**14)
+    monkeypatch.setattr(antialias, "_BAND", 2**12)
+    bound = 32 * lat.n * lat.d + 256 * antialias._BAND
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(lat)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(antialias.build) <= bound
+    assert peak(_reference_build) > bound
 
 
 def test_build_small_example(tiny):
@@ -113,6 +214,18 @@ def test_cache_corruption_triggers_rebuild(tmp_path, tiny):
     assert np.array_equal(rebuilt.freq, aa.freq)
     # and the good cache replaced the corrupt one
     assert antialias.load_cache(path, lat).freq.shape == (5, 2)
+
+
+def test_failed_cache_write_keeps_old_cache(tmp_path, tiny, full_disk):
+    lat, aa = tiny
+    path = tmp_path / "aa.bin"
+    antialias.save_cache(aa, path)
+    before = path.read_bytes()
+    full_disk()
+    with pytest.raises(OSError, match="No space"):
+        antialias.save_cache(aa, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["aa.bin"]
 
 
 def test_cached_build_reuses_file(tmp_path, tiny):

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +38,38 @@ def test_lattice_gen_to_file(tmp_path, capsys):
 def test_lattice_requires_source(capsys):
     with pytest.raises(SystemExit):
         main(["lattice", "info"])
+
+
+#: SHA-256 of the paper-d6 anti-aliasing set (its cache file), max ||h||^2 = 238.
+PAPER_D6_SHA256 = "cb0781160c80c6627e42e3bc5b7ecfb15e4c36cc9d80cb04d1f9e1cbd4fa2768"
+
+# cli.main with the arguments given after it, then the process's own peak RSS
+_REPORT_PEAK = ("import sys; from rank1tdse.cli import main; rc = main(sys.argv[1:]); "
+                "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).strip()); "
+                "sys.exit(rc)")
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_aaset_build_paper_d6_fits_in_memory(tmp_path):
+    """``aaset build --preset paper-d6 --large`` (n = 2^24) writes the pinned set under 3 GiB peak RSS."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_PEAK, "aaset", "build", "--preset", "paper-d6", "--large",
+         "--cache-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=1800)
+    print(proc.stdout)
+    assert proc.returncode == 0, proc.stderr
+    peak_kb = int(proc.stdout.splitlines()[-1].split()[1])
+    assert peak_kb < 3 * 2**20
+    cache = next(tmp_path.glob("aaset_d6_n16777216_*.bin"))
+    assert cache.stat().st_size == 26 + 4 * 6 * 2**24
+    digest = hashlib.sha256()
+    with open(cache, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    assert digest.hexdigest() == PAPER_D6_SHA256
 
 
 def test_large_preset_guard(capsys):

@@ -154,6 +154,14 @@ def test_kinetic_table_from_another_set_rejected(setup):
         evolve(s["st"], scheme("strang"), make_kinetic(other), s["pf"], 2, 0.1, 1.0)
 
 
+def test_kinetic_apply_rejects_table_from_another_set(setup):
+    """``kinetic_apply`` runs the same set check as ``evolve``."""
+    s = setup
+    other = make_kinetic(antialias.build(Rank1Lattice(2, 64, (1, 27))))
+    with pytest.raises(ValueError, match="another anti-aliasing set"):
+        kinetic_apply(s["st"], other, 0.5, 0.1)
+
+
 # Not palindromic; repeated a and b weights, a zero b and a nonzero last a.
 _UNEVEN = scheme_from_json({"name": "uneven", "order": 1,
                             "a": [0.3, 0.3, 0.1, 0.3], "b": [0.2, 0.6, 0.2, 0.0]})

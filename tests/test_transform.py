@@ -204,6 +204,27 @@ def test_snapshot_size_mismatch(tmp_path, lat256):
         load_snapshot(path, other)
 
 
+def test_failed_snapshot_write_keeps_old_snapshot(tmp_path, lat256, full_disk):
+    lat, aa = lat256
+    path = tmp_path / "state.bin"
+    save_snapshot(SpectralState(np.ones(lat.n, dtype=complex), aa, time=0.5), path)
+    before = path.read_bytes()
+    full_disk()
+    with pytest.raises(OSError, match="No space"):
+        save_snapshot(SpectralState(np.zeros(lat.n, dtype=complex), aa, time=1.0), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
+
+
+@pytest.mark.parametrize("size", [0, 10])
+def test_snapshot_shorter_than_header_rejected(tmp_path, lat256, size):
+    _, aa = lat256
+    path = tmp_path / "state.bin"
+    path.write_bytes(b"\x01" * size)
+    with pytest.raises(ValueError, match="truncated snapshot"):
+        load_snapshot(path, aa)
+
+
 def test_size_mismatch_rejected(lat256):
     lat, aa = lat256
     with pytest.raises(ValueError):
