@@ -2,10 +2,9 @@
 
 For a rank-1 lattice (z, n) the anti-aliasing set picks, for every residue
 ``xi = h . z mod n``, one integer frequency vector ``h_xi`` of that residue
-with the smallest Euclidean norm.  The build enumerates integer vectors in
-bands of ascending squared norm, sorts each band by (squared norm,
-lexicographic order) and keeps the first vector seen per residue, so the
-result is reproducible bit for bit.
+with the smallest Euclidean norm, the lexicographically first among ties,
+so the set is reproducible bit for bit.  :func:`build` computes it from that
+definition with a min-plus recursion over the residues, in O(n d) memory.
 """
 
 from __future__ import annotations
@@ -33,12 +32,12 @@ __all__ = [
 
 _MAGIC = b"AASET1"
 
-#: Candidates per band of the build's scan (estimated from the d-ball volume).
-_BAND = 1 << 18
+#: Squared norm of a residue that no vector in the current box reaches.
+_UNREACHED = np.iinfo(np.int64).max // 2
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when the build would scan more candidates than its budget."""
+    """Raised when the build would examine more (residue, t) pairs than its budget."""
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,11 @@ class AntiAliasingSet:
 
     def residues(self, h) -> np.ndarray:
         """``h . z mod n`` for a (..., d) array of frequency vectors."""
-        return _residues(np.asarray(h), self.lattice)
+        return self.lattice.residues(h)
 
     def residue_lookup(self, h) -> int:
         """The residue class index of a single frequency vector."""
-        return int(self.residues(np.asarray(h, dtype=np.int64)))
+        return int(self.lattice.residues(h))
 
     def max_norm2(self) -> int:
         """Largest squared l2 norm among the representatives."""
@@ -82,119 +81,82 @@ class AntiAliasingSet:
         return digest.hexdigest()
 
 
-def _residues(h: np.ndarray, lattice: Rank1Lattice) -> np.ndarray:
-    """``h . z mod n``, accumulated column by column in int64."""
-    res = np.zeros(h.shape[:-1], dtype=np.int64)
-    for j, zj in enumerate(lattice.z):
-        res += h[..., j].astype(np.int64) * zj
-        res %= lattice.n
-    return res
-
-
 def _zhash(lattice: Rank1Lattice) -> int:
     raw = np.asarray(lattice.z, dtype="<i8").tobytes()
     return int.from_bytes(hashlib.sha256(raw).digest()[:8], "little")
 
 
-def _isqrt(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``floor(sqrt(x))`` of a non-negative int64 array, exact."""
-    s = np.sqrt(x).astype(np.int64)
-    s -= s * s > x
-    s += (s + 1) * (s + 1) <= x
-    return s
-
-
-def _extend(pre: np.ndarray, pre2: np.ndarray, lo: int, hi: int,
-            room: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """Append a last coordinate: every ``(p, t)`` with ``lo <= |p|^2 + t^2 <= hi``.
-
-    Per prefix ``p`` the coordinate ``t`` runs over ``-top..-max(low, 1)`` and
-    then ``low..top``, with ``low = ceil(sqrt(lo - |p|^2))`` (0 inside ``lo``)
-    and ``top = floor(sqrt(hi - |p|^2))``, so lexicographically ordered
-    prefixes give lexicographically ordered vectors.  Raises
-    :class:`BudgetExceededError` before allocating more than ``room`` vectors.
-    """
-    top = _isqrt(hi - pre2)
-    low = np.where(pre2 >= lo, 0, _isqrt(np.maximum(lo - pre2 - 1, 0)) + 1)
-    keep = np.flatnonzero(low <= top)
-    pre, pre2, top, low = pre[keep], pre2[keep], top[keep], low[keep]
-    starts = np.column_stack([-top, low]).ravel()
-    counts = np.column_stack([top - np.maximum(low, 1) + 1, top - low + 1]).ravel()
-    total = int(counts.sum())
-    if total > room:
-        raise BudgetExceededError(f"band {lo}..{hi} of ||h||^2 needs {total} more candidates, "
-                                  f"only {room} left in the budget")
-    owner = np.repeat(np.arange(len(counts)) // 2, counts)
-    t = np.arange(total, dtype=np.int64) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return np.column_stack([pre[owner], t.astype(np.int32)]), pre2[owner] + t * t
-
-
-def _band(d: int, lo: int, hi: int, room: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors with ``lo <= ||h||^2 <= hi``, sorted by (squared norm, lexicographic order).
-
-    The last coordinate extends a (d-1)-dimensional prefix ball built
-    coordinate by coordinate in lexicographic order, so a stable sort by
-    squared norm finishes the band.
-    """
-    pre, pre2 = np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=np.int64)
-    for _ in range(d - 1):
-        pre, pre2 = _extend(pre, pre2, 0, hi)
-    pts, ssq = _extend(pre, pre2, lo, hi, room)
-    order = np.argsort(ssq, kind="stable")
-    return pts[order], ssq[order]
-
-
-def _unit_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+def _norms2(freq: np.ndarray) -> np.ndarray:
+    """Squared l2 norms of the rows of ``freq``, accumulated column by column in int64."""
+    norms2 = np.zeros(len(freq), dtype=np.int64)
+    for col in freq.T:
+        norms2 += np.square(col, dtype=np.int64)
+    return norms2
 
 
 def _initial_r2(d: int, n: int) -> int:
     # d-ball volume heuristic aiming at >= 2n candidates
-    r = (2.0 * n / _unit_volume(d)) ** (1.0 / d)
+    r = (2.0 * n * math.gamma(d / 2.0 + 1.0) / math.pi ** (d / 2.0)) ** (1.0 / d)
     return max(1, math.ceil(r * r))
 
 
-def _band_end(d: int, lo: int) -> int:
-    """Largest hi >= lo whose band lo..hi holds about ``_BAND`` candidates (by d-ball volume)."""
-    return max(lo, math.floor((lo ** (d / 2.0) + _BAND / _unit_volume(d)) ** (2.0 / d)))
+def _min_plus(lattice: Rank1Lattice, radius: int, freq: np.ndarray, norms2: np.ndarray) -> None:
+    """One pass with every ``|h_k| <= radius``: ``g_1`` into ``norms2`` (``_UNREACHED`` where the
+    box reaches no vector) and level k's chosen ``t`` at residue ``r`` into ``freq[r, k]``."""
+    n, d, z = lattice.n, lattice.d, lattice.z
+    # last coordinate alone: in (t^2, t) order the first t per residue wins
+    t = np.arange(-radius, radius + 1, dtype=np.int64)
+    t = t[np.argsort(t * t, kind="stable")]
+    res, first = np.unique(t * z[-1] % n, return_index=True)
+    g = norms2 if d == 1 else np.empty(n, dtype=np.int64)
+    g.fill(_UNREACHED)
+    g[res] = t[first] ** 2
+    freq[res, -1] = t[first]
+    cand, better = np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+    for k in range(d - 2, -1, -1):
+        best = norms2 if k == 0 else np.empty(n, dtype=np.int64)
+        best.fill(_UNREACHED)
+        for tk in range(-radius, radius + 1):  # ascending t, strict <: the smallest t wins ties
+            s = tk * z[k] % n  # cand[r] = tk^2 + g[r - tk z_k mod n]
+            np.add(g[:n - s], tk * tk, out=cand[s:])
+            np.add(g[n - s:], tk * tk, out=cand[:s])
+            np.less(cand, best, out=better)
+            np.copyto(best, cand, where=better)
+            np.copyto(freq[:, k], tk, where=better)
+        g = best
 
 
-def build(lattice: Rank1Lattice, budget: int = 1 << 28) -> AntiAliasingSet:
+def build(lattice: Rank1Lattice, budget: int = 1 << 36) -> AntiAliasingSet:
     """Construct the minimal-l2 anti-aliasing set for ``lattice``.
 
-    Candidates are scanned in ascending squared-norm order with ties broken
-    lexicographically on the signed coordinates; the first vector of each
-    unseen residue wins.  The scan runs in bands of consecutive squared
-    norms holding about ``_BAND`` candidates each, so memory stays bounded
-    by the set plus one band; a band never crosses ``_initial_r2`` or a
-    doubling of it.  The scan stops once all ``n`` residues are covered.
-
-    Raises :class:`BudgetExceededError` before a band is allocated if the
-    candidates scanned in total (all bands so far plus this one) would
-    exceed ``budget``.
+    With every ``|h_k| <= R``, ``g_k(r) = min_{|t| <= R} t^2 + g_{k+1}(r - t z_k)``
+    is the least ``h_k^2 + ... + h_d^2`` with ``h_k z_k + ... + h_d z_d == r``
+    (mod n): one cyclic shift of an n-vector per ``t``.  The smallest ``t`` wins
+    ties, which picks the lexicographically first vector of least norm.  The
+    result is exact once ``R >= isqrt(max g_1)``; until then, and while a residue
+    is unreached, the build reruns with a larger ``R``.  Raises
+    :class:`BudgetExceededError` before a pass if the (residue, t) pairs examined
+    in total, ``(2R + 1) (1 + (d - 1) n)`` per pass, would exceed ``budget``.
     """
     n, d = lattice.n, lattice.d
-    freq = np.zeros((n, d), dtype=np.int32)
-    norms2 = np.full(n, -1, dtype=np.int64)
-    found = np.zeros(n, dtype=bool)
-    left, scanned = n, 0
-    lo, edge = 0, _initial_r2(d, n)
-    while left:
-        hi = min(edge, _band_end(d, lo))
-        pts, ssq = _band(d, lo, hi, budget - scanned)
-        scanned += len(ssq)
-        res = _residues(pts, lattice)
-        new = ~found[res]
-        if new.any():
-            res_new, pts_new, ssq_new = res[new], pts[new], ssq[new]
-            uniq, first = np.unique(res_new, return_index=True)
-            freq[uniq] = pts_new[first]
-            norms2[uniq] = ssq_new[first]
-            found[uniq] = True
-            left -= len(uniq)
-        lo = hi + 1
-        if hi == edge:
-            edge *= 2
+    # the result first: the passes' scratch then lies above it on the heap, where later arrays reuse it
+    freq, norms2 = np.zeros((n, d), dtype=np.int32), np.empty(n, dtype=np.int64)
+    radius, examined = math.isqrt(_initial_r2(d, n)) + 2, 0
+    while True:
+        pairs = (2 * radius + 1) * (1 + (d - 1) * n)
+        if examined + pairs > budget:
+            raise BudgetExceededError(f"a pass at R = {radius} needs {pairs} pairs, {budget - examined} left")
+        examined += pairs
+        _min_plus(lattice, radius, freq, norms2)
+        top = int(norms2.max())
+        if top < _UNREACHED and math.isqrt(top) <= radius:
+            break
+        radius = 2 * radius if top >= _UNREACHED else math.isqrt(top)
+    # read the vectors back: h_k is level k's choice at xi - (h_1 z_1 + ... + h_{k-1} z_{k-1})
+    res = np.arange(n, dtype=np.int64)
+    for k in range(1, d):
+        res = (res - freq[:, k - 1].astype(np.int64) * lattice.z[k - 1]) % n
+        freq[:, k] = freq[res, k]
     return AntiAliasingSet(lattice, freq, norms2)
 
 
@@ -227,19 +189,19 @@ def save_cache(aa: AntiAliasingSet, path) -> None:
 
 
 def load_cache(path, lattice: Rank1Lattice) -> AntiAliasingSet:
-    """Read a cached set, verifying the header against ``lattice``."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 26 or raw[:6] != _MAGIC:
-        raise ValueError(f"{path}: not an anti-aliasing cache")
-    d, n, zh = struct.unpack("<IQQ", raw[6:26])
-    if (d, n, zh) != (lattice.d, lattice.n, _zhash(lattice)):
-        raise ValueError(f"{path}: cache header does not match lattice")
-    expected = 26 + 4 * n * d
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated cache ({len(raw)} bytes, expected {expected})")
-    freq = np.frombuffer(raw[26:], dtype="<i4").reshape(n, d).astype(np.int32)
-    norms2 = np.einsum("ij,ij->i", freq.astype(np.int64), freq.astype(np.int64))
-    return AntiAliasingSet(lattice, freq, norms2)
+    """Read a cached set, verifying the header and file size against ``lattice``."""
+    with open(path, "rb") as fh:
+        head = fh.read(26)
+        if len(head) < 26 or head[:6] != _MAGIC:
+            raise ValueError(f"{path}: not an anti-aliasing cache")
+        d, n, zh = struct.unpack("<IQQ", head[6:])
+        if (d, n, zh) != (lattice.d, lattice.n, _zhash(lattice)):
+            raise ValueError(f"{path}: cache header does not match lattice")
+        size, expected = os.fstat(fh.fileno()).st_size, 26 + 4 * n * d
+        if size != expected:
+            raise ValueError(f"{path}: truncated cache ({size} bytes, expected {expected})")
+        freq = np.fromfile(fh, dtype="<i4", count=n * d).reshape(n, d).astype(np.int32, copy=False)
+    return AntiAliasingSet(lattice, freq, _norms2(freq))
 
 
 def cache_path(lattice: Rank1Lattice, cache_dir) -> Path:
@@ -247,7 +209,7 @@ def cache_path(lattice: Rank1Lattice, cache_dir) -> Path:
     return Path(cache_dir).expanduser() / name
 
 
-def cached_build(lattice: Rank1Lattice, cache_dir=None, budget: int = 1 << 28) -> AntiAliasingSet:
+def cached_build(lattice: Rank1Lattice, cache_dir=None, budget: int = 1 << 36) -> AntiAliasingSet:
     """Build the set, reusing (or writing) a disk cache when a directory is given."""
     if cache_dir is None:
         return build(lattice, budget)

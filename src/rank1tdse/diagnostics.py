@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antialias import AntiAliasingSet
+from .antialias import AntiAliasingSet, _norms2
 from .lattice import Rank1Lattice
 from .operators import PotentialField, smooth_potential_coefficients
 
@@ -68,11 +68,9 @@ def dense_multiplication_operator(pf: PotentialField) -> np.ndarray:
 
 def circulant_first_column(lattice: Rank1Lattice, coeffs) -> np.ndarray:
     """First column ``w_j = sum of v_hat(h) over h with h . z == j (mod n)``."""
-    z = np.asarray(lattice.z, dtype=np.int64)
     w = np.zeros(lattice.n, dtype=np.complex128)
     for h, c in coeffs.items():
-        j = int(np.asarray(h, dtype=np.int64) @ z) % lattice.n
-        w[j] += c
+        w[int(lattice.residues(h))] += c
     return w
 
 
@@ -143,10 +141,9 @@ def shifted_representatives(aa: AntiAliasingSet) -> AntiAliasingSet:
     a squared norm of order n^2.  Used as a contrast case in the commutator
     sweep.
     """
-    freq = aa.freq.astype(np.int64).copy()
+    freq = aa.freq.astype(np.int64)
     freq[1:, 0] += aa.lattice.n
-    norms2 = np.einsum("ij,ij->i", freq, freq)
-    return AntiAliasingSet(aa.lattice, freq.astype(np.int64), norms2)
+    return AntiAliasingSet(aa.lattice, freq, _norms2(freq))
 
 
 def commutator_sweep(lattices_and_sets, pf_for, p: int, epsilon: float = 1.0,

@@ -93,12 +93,23 @@ class Rank1Lattice:
         """(n, d) float64 array of point coordinates in [0, 1)."""
         return self.numerators() / float(self.n)
 
+    def residues(self, h) -> np.ndarray:
+        """``h . z mod n`` for a (..., d) array of frequency vectors, accumulated in int64."""
+        h = np.asarray(h)
+        res = np.zeros(h.shape[:-1], dtype=np.int64)
+        term = np.empty_like(res)
+        for j, zj in enumerate(self.z):
+            np.multiply(h[..., j], zj, out=term, dtype=np.int64)
+            res += term
+            res %= self.n
+        return res
+
     def in_dual(self, h) -> bool:
         """True iff ``z . h == 0 (mod n)``, i.e. ``h`` is in the dual lattice."""
         h = np.asarray(h, dtype=np.int64)
         if h.shape != (self.d,):
             raise ValueError(f"frequency vector must have length {self.d}")
-        return int(h @ np.asarray(self.z, dtype=np.int64)) % self.n == 0
+        return int(self.residues(h)) == 0
 
     def to_dict(self) -> dict:
         return {"d": self.d, "n": self.n, "z": list(self.z)}

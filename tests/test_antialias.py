@@ -87,41 +87,47 @@ def oracle_case(request):
     return lat, _reference_build(lat)
 
 
-@pytest.mark.parametrize("band", ["default", "small"])
-def test_build_equals_whole_ball_reference(oracle_case, band, monkeypatch):
-    """The band-by-band build picks the reference's vectors bit for bit, with any band size."""
+@pytest.mark.parametrize("radius", ["default", "small"])
+def test_build_equals_whole_ball_reference(oracle_case, radius, monkeypatch):
+    """The recursion picks the reference's vectors bit for bit, from any starting radius.
+
+    ``small`` starts every build at coordinate bound 3, so across the
+    lattices both reruns happen: after an unreached residue (``d1-wide``,
+    ``d2-wide``, ``d2``) and after ``isqrt(max g_1)`` exceeded the bound
+    (``cbc-d3``).
+    """
     lat, (freq, norms2) = oracle_case
-    calls = []
-    band_fn = antialias._band
-    monkeypatch.setattr(antialias, "_band", lambda *a: calls.append(a) or band_fn(*a))
-    if band == "small":
-        # about 3 candidates per band: most bands are one shell that holds more
-        monkeypatch.setattr(antialias, "_BAND", 3)
+    if radius == "small":
+        monkeypatch.setattr(antialias, "_initial_r2", lambda d, n: 1)
     aa = antialias.build(lat)
     assert np.array_equal(aa.freq, freq) and aa.freq.dtype == np.int32
     assert np.array_equal(aa.norms2, norms2) and aa.norms2.dtype == np.int64
-    # bands are consecutive ranges of squared norms starting at 0
-    assert [a[1] for a in calls] == [0] + [a[2] + 1 for a in calls[:-1]]
-    if band == "small" and aa.max_norm2() > 0:
-        assert len(calls) >= 2
 
 
-def test_build_memory_is_set_plus_band(monkeypatch):
-    """A desk-scale d = 4 build peaks at O(n d + band) bytes; the whole-ball reference does not."""
+def _tracemalloc_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_memory_is_order_n_d():
+    """A desk-scale d = 4 build peaks at O(n d) bytes; the whole-ball reference does not."""
     lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))  # cbc_construct(4, 2**14)
-    monkeypatch.setattr(antialias, "_BAND", 2**12)
-    bound = 32 * lat.n * lat.d + 256 * antialias._BAND
+    bound = 32 * lat.n * lat.d
+    assert _tracemalloc_peak(antialias.build, lat) <= bound
+    assert _tracemalloc_peak(_reference_build, lat) > bound
 
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            fn(lat)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(antialias.build) <= bound
-    assert peak(_reference_build) > bound
+def test_budget_counts_pairs_examined():
+    """The budget is the (residue, t) pairs of every pass: exactly enough passes, one less raises."""
+    lat = Rank1Lattice(2, 256, (1, 1))  # passes at |h_k| <= 14, 28, 56, 112
+    pairs = sum((2 * r + 1) * (1 + lat.n) for r in (14, 28, 56, 112))
+    assert antialias.build(lat, budget=pairs).max_norm2() == 8192
+    with pytest.raises(antialias.BudgetExceededError):
+        antialias.build(lat, budget=pairs - 1)
 
 
 def test_build_small_example(tiny):
@@ -214,6 +220,30 @@ def test_cache_corruption_triggers_rebuild(tmp_path, tiny):
     assert np.array_equal(rebuilt.freq, aa.freq)
     # and the good cache replaced the corrupt one
     assert antialias.load_cache(path, lat).freq.shape == (5, 2)
+
+
+def test_truncated_cache_body_triggers_rebuild(tmp_path, tiny):
+    lat, aa = tiny
+    path = antialias.cache_path(lat, tmp_path)
+    antialias.save_cache(aa, path)
+    path.write_bytes(path.read_bytes()[:-4])  # valid header, one int32 short
+    with pytest.raises(ValueError, match="truncated cache"):
+        antialias.load_cache(path, lat)
+    rebuilt = antialias.cached_build(lat, tmp_path)
+    assert np.array_equal(rebuilt.freq, aa.freq)
+    assert np.array_equal(antialias.load_cache(path, lat).freq, aa.freq)
+
+
+def test_load_cache_memory_is_table_plus_norms(tmp_path):
+    """Loading reads the int32 table once: the peak stays within twice the table plus its norms.
+
+    The second half is the set's residue check (two int64 n-vectors and a
+    mask).  A loader that copies the bytes and two int64 tables peaks at 4.3x.
+    """
+    lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))
+    path = tmp_path / "aa.bin"
+    antialias.save_cache(antialias.build(lat), path)
+    assert _tracemalloc_peak(antialias.load_cache, path, lat) <= 2 * (4 * lat.n * lat.d + 8 * lat.n)
 
 
 def test_failed_cache_write_keeps_old_cache(tmp_path, tiny, full_disk):
