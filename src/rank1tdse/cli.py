@@ -52,7 +52,7 @@ def _cmd_lattice(args) -> int:
         lat = _resolve_lattice(args)
     doc = lat.to_dict()
     if args.action == "info":
-        doc["preview_points"] = [list(lat.point(k).numerators) for k in range(min(4, lat.n))]
+        doc["preview_points"] = [list(lat.point(k)) for k in range(min(4, lat.n))]
     text = json.dumps(doc, indent=2)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.fft
@@ -32,7 +32,6 @@ __all__ = [
     "smooth_product_potential",
     "harmonic_potential",
     "smooth_potential_coefficients",
-    "korobov_norm_estimate",
 ]
 
 
@@ -61,14 +60,20 @@ class KineticTable:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Potential values at the lattice points, kind is one of POTENTIAL_KINDS."""
+    """Potential values at the points of ``lattice``, kind is one of POTENTIAL_KINDS."""
 
     values: np.ndarray
     kind: str
+    lattice: Rank1Lattice
 
     def phases(self, b: float, dt: float, epsilon: float) -> np.ndarray:
         """``exp(-i b dt v(p_k) / eps)`` at every lattice point."""
         return np.exp(-1j * (b * dt / epsilon) * self.values)
+
+    def check_lattice(self, aa: AntiAliasingSet) -> None:
+        """Raise ``ValueError`` unless this field was tabulated on ``aa``'s lattice."""
+        if self.lattice != aa.lattice:
+            raise ValueError("potential field was tabulated on another lattice than the state's")
 
 
 def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
@@ -104,6 +109,7 @@ def potential_apply(state: SpectralState, pf: PotentialField, b: float, dt: floa
     """Apply ``exp(-i b dt v(p_k) / eps)`` pointwise in nodal space (see ``potential_stage``)."""
     if pf.values.shape != state.coeffs.shape:
         raise ValueError("potential field and state have different sizes")
+    pf.check_lattice(state.aa)
     if b == 0.0 or dt == 0.0:
         return state.copy()
     coeffs = potential_stage(state.coeffs.copy(), pf.phases(b, dt, epsilon))
@@ -131,12 +137,12 @@ def make_potential(kind: str, lattice: Rank1Lattice,
     """Tabulate a named or custom potential at all lattice points."""
     if func is not None:
         values = np.asarray(func(lattice.node_coords()), dtype=np.float64)
-        return PotentialField(values, "custom")
+        return PotentialField(values, "custom", lattice)
     try:
         f = POTENTIAL_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown potential kind {kind!r}") from None
-    return PotentialField(f(lattice.node_coords()).astype(np.float64), kind)
+    return PotentialField(f(lattice.node_coords()).astype(np.float64), kind, lattice)
 
 
 def smooth_potential_coefficients(d: int) -> dict[tuple[int, ...], float]:
@@ -168,18 +174,3 @@ def make_gaussian(aa: AntiAliasingSet, epsilon: float = 1.0) -> SpectralState:
     state = forward(NodalValues(vals, lat), aa)
     state.coeffs /= np.linalg.norm(state.coeffs)
     return state
-
-
-def korobov_norm_estimate(coeffs: Mapping[Sequence[int], complex], alpha: float) -> float:
-    """Weighted-coefficient norm ``sqrt(sum |c_h|^2 prod_j max(|h_j|^(2a), 1))``.
-
-    Diagnostic for checking smoothness-class membership of sparse
-    trigonometric polynomials.
-    """
-    if alpha < 0.5:
-        raise ValueError("alpha must be >= 1/2")
-    total = 0.0
-    for h, c in coeffs.items():
-        w = math.prod(max(abs(hj) ** (2.0 * alpha), 1.0) for hj in h)
-        total += abs(c) ** 2 * w
-    return math.sqrt(total)

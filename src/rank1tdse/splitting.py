@@ -156,6 +156,7 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
         raise ValueError("step count m must be >= 1")
     if pf.values.shape != state.coeffs.shape:
         raise ValueError("state and potential field sizes disagree")
+    pf.check_lattice(state.aa)
     kt.check_set(state.aa)
     # copied before the plan is built, so that the plan's arrays lie above the
     # result on the heap and go back to the system when the call returns

@@ -5,24 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rank1tdse.lattice import PRESETS, Rank1Lattice, cbc_construct, load_lattice
+from rank1tdse.lattice import (PRESETS, Rank1Lattice, _korobov_kernel_table, _unit_group,
+                               cbc_construct, load_lattice)
 
 
 def test_point_origin():
     lat = Rank1Lattice(2, 2**16, (1, 100135))
-    assert lat.point(0).numerators == (0, 0)
+    assert lat.point(0) == (0, 0)
 
 
 def test_point_published_d2_vector():
     lat = Rank1Lattice(2, 2**16, (1, 100135))
-    p = lat.point(1)
-    assert p.numerators == (1, 34599)  # 100135 - 65536
-    assert np.allclose(p.coords, [1 / 65536, 34599 / 65536])
+    assert lat.point(1) == (1, 34599)  # 100135 - 65536
+    assert np.allclose(lat.node_coords()[1], [1 / 65536, 34599 / 65536])
 
 
 def test_point_small():
     lat = Rank1Lattice(2, 5, (1, 3))
-    assert lat.point(4).numerators == (4, 2)  # 3*4 = 12 = 2 mod 5
+    assert lat.point(4) == (4, 2)  # 3*4 = 12 = 2 mod 5
 
 
 def test_point_index_out_of_range():
@@ -35,13 +35,13 @@ def test_point_index_out_of_range():
 
 def test_all_points_small():
     lat = Rank1Lattice(2, 5, (1, 3))
-    pts = {p.numerators for p in lat.all_points()}
+    pts = {tuple(p) for p in lat.numerators().tolist()}
     assert pts == {(0, 0), (1, 3), (2, 1), (3, 4), (4, 2)}
 
 
 def test_all_points_single():
     lat = Rank1Lattice(3, 1, (0, 0, 0))
-    assert [p.numerators for p in lat.all_points()] == [(0, 0, 0)]
+    assert lat.numerators().tolist() == [[0, 0, 0]]
 
 
 def test_all_points_equispaced_1d():
@@ -73,9 +73,9 @@ def test_coords_distinct_per_coordinate():
 
 def test_point_is_modular_multiple_of_first():
     lat = Rank1Lattice(2, 1024, (1, 275))
-    p1 = np.asarray(lat.point(1).numerators)
+    p1 = np.asarray(lat.point(1))
     for k in range(0, lat.n, 37):
-        assert np.array_equal(np.asarray(lat.point(k).numerators), (p1 * k) % lat.n)
+        assert np.array_equal(np.asarray(lat.point(k)), (p1 * k) % lat.n)
 
 
 def test_invariant_violations_rejected():
@@ -106,21 +106,70 @@ def test_cbc_d1():
 
 
 def test_cbc_d2_n4_exhaustive():
-    # only candidates are 1 and 3; whichever wins must be one of them
-    lat = cbc_construct(2, 4)
-    assert lat.z[0] == 1 and lat.z[1] in (1, 3)
+    # the units 1 and 3 score the same; the smaller wins
+    assert cbc_construct(2, 4).z == (1, 1)
 
 
 def test_cbc_small_invariants():
-    for n in (8, 32, 9):
+    # 30, 210 and 1000 are even but not powers of two, so some odd residues (3 for 30) are not units
+    for n in (8, 32, 9, 30, 210, 1000):
         lat = cbc_construct(3, n)
         assert lat.z[0] == 1
         for zj in lat.z:
             assert math.gcd(zj, n) == 1
 
 
-@pytest.mark.slow
+def _slow_cbc(d: int, n: int) -> tuple[int, ...]:
+    """Reference CBC: every unit candidate scored by direct O(n) summation, O(n^2) per component."""
+    omega = _korobov_kernel_table(n)
+    k = np.arange(n, dtype=np.int64)
+    z = [1]
+    prods = 1.0 + omega[k % n]
+    candidates = [c for c in range(1, n) if math.gcd(c, n) == 1]
+    for _ in range(1, d):
+        best_c, best_err = None, np.inf
+        for c in candidates:
+            err = float(prods @ (1.0 + omega[(k * c) % n]))
+            if err < best_err:  # strict: earlier (smaller) candidate wins ties
+                best_c, best_err = c, err
+        z.append(best_c)
+        prods = prods * (1.0 + omega[(k * best_c) % n])
+    return tuple(z)
+
+
+@pytest.mark.parametrize("d, n", [
+    # powers of two
+    (3, 2), (3, 4), (5, 8), (5, 16), (5, 256), (8, 1024), (8, 2**13),
+    # primes
+    (3, 3), (5, 97), (8, 1009), (8, 8191),
+    # odd prime powers and odd composites
+    (5, 9), (5, 125), (5, 343), (8, 2187), (8, 2401), (8, 3125), (5, 1155),
+    # even composites
+    (5, 12), (5, 30), (5, 210), (8, 864), (8, 1000), (8, 2310), (8, 6000),
+])
+def test_cbc_equals_direct_search(d, n):
+    assert cbc_construct(d, n).z == _slow_cbc(d, n)
+
+
+@pytest.mark.parametrize("d, n, z", [
+    (3, 2**13, (1, 2431, 563)),
+    (2, 2**10, (1, 275)),
+])
+def test_cbc_pinned_vectors(d, n, z):
+    assert cbc_construct(d, n).z == z
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 64, 9, 3**7, 30, 1000, 2310])
+def test_unit_group_layout(n):
+    table = _unit_group(n)
+    assert sorted(table.ravel().tolist()) == [c for c in range(1, n) if math.gcd(c, n) == 1]
+    # multiplying units adds their indices cyclically along every axis
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        e, f = (tuple(rng.integers(0, s) for s in table.shape) for _ in range(2))
+        ef = tuple((a + b) % s for a, b, s in zip(e, f, table.shape))
+        assert table[e] * table[f] % n == table[ef]
+
+
 def test_cbc_d2_power_of_two_full_size():
-    lat = cbc_construct(2, 2**16)
-    assert lat.z[0] == 1
-    assert lat.z[1] % 2 == 1
+    assert cbc_construct(2, 2**16).z == (1, 19463)

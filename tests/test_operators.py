@@ -7,7 +7,6 @@ from rank1tdse.diagnostics import circulant_first_column
 from rank1tdse.lattice import Rank1Lattice, load_lattice
 from rank1tdse.operators import (
     kinetic_apply,
-    korobov_norm_estimate,
     make_gaussian,
     make_kinetic,
     make_potential,
@@ -183,22 +182,3 @@ def test_gaussian_tail_mass_paper_scale():
     st = make_gaussian(aa, epsilon=1.0)
     tail = np.sum(np.abs(st.coeffs[aa.norms2 > 100]) ** 2)
     assert tail < 1e-10
-
-
-def test_korobov_norm_single_zero_coeff():
-    assert korobov_norm_estimate({(0, 0): 1.0}, alpha=3.0) == 1.0
-
-
-def test_korobov_norm_single_mode():
-    assert abs(korobov_norm_estimate({(2, 0): 1.0}, alpha=2.0) - 4.0) < 1e-14
-
-
-def test_korobov_norm_smooth_potential_1d():
-    coeffs = smooth_potential_coefficients(1)
-    got = korobov_norm_estimate(coeffs, alpha=2.0)
-    assert abs(got - np.sqrt(1.5)) < 1e-14
-
-
-def test_korobov_alpha_validation():
-    with pytest.raises(ValueError):
-        korobov_norm_estimate({(0,): 1.0}, alpha=0.2)

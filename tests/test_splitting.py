@@ -162,6 +162,22 @@ def test_kinetic_apply_rejects_table_from_another_set(setup):
         kinetic_apply(s["st"], other, 0.5, 0.1)
 
 
+def test_potential_field_from_another_lattice_rejected(setup):
+    """A potential tabulated on an equal-n lattice with another z is not the state's."""
+    s = setup
+    pf = make_potential("smooth_v1", Rank1Lattice(2, 64, (1, 27)))
+    with pytest.raises(ValueError, match="another lattice"):
+        evolve(s["st"], scheme("strang"), s["kt"], pf, 4, 0.1, 1.0)
+
+
+def test_potential_apply_rejects_field_from_another_lattice(setup):
+    """``potential_apply`` runs the same lattice check as ``evolve``."""
+    s = setup
+    pf = make_potential("smooth_v1", Rank1Lattice(2, 64, (1, 27)))
+    with pytest.raises(ValueError, match="another lattice"):
+        potential_apply(s["st"], pf, 0.5, 0.1, 1.0)
+
+
 # Not palindromic; repeated a and b weights, a zero b and a nonzero last a.
 _UNEVEN = scheme_from_json({"name": "uneven", "order": 1,
                             "a": [0.3, 0.3, 0.1, 0.3], "b": [0.2, 0.6, 0.2, 0.0]})

@@ -101,7 +101,7 @@ def test_evaluate_offlattice_interpolates(lat256):
     st = forward(NodalValues(vals, lat), aa)
     nodal = inverse(st).values
     for k in (0, 1, 100, 255):
-        got = evaluate_offlattice(st, lat.point(k).coords)
+        got = evaluate_offlattice(st, np.asarray(lat.point(k)) / lat.n)
         assert abs(got - nodal[k]) < 1e-10
 
 
