@@ -71,10 +71,16 @@ class Rank1Lattice:
             raise IndexError(f"point index {k} outside [0, {self.n})")
         return tuple((zj * k) % self.n for zj in self.z)
 
+    def numerator_column(self, j: int) -> np.ndarray:
+        """Numerators ``k z_j mod n``, k = 0..n-1, int64: a permutation of 0..n-1 (z_j is a unit)."""
+        col = np.arange(self.n, dtype=np.int64)  # in place: one n-vector alive, not two
+        col *= self.z[j]
+        col %= self.n
+        return col
+
     def numerators(self) -> np.ndarray:
         """(n, d) int64 array of exact coordinate numerators."""
-        k = np.arange(self.n, dtype=np.int64)
-        return (k[:, None] * np.asarray(self.z, dtype=np.int64)) % self.n
+        return np.stack([self.numerator_column(j) for j in range(self.d)], axis=1)
 
     def node_coords(self) -> np.ndarray:
         """(n, d) float64 array of point coordinates in [0, 1)."""

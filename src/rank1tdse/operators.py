@@ -4,6 +4,12 @@ The kinetic half is diagonal in coefficient space with phases proportional
 to the squared norms of the anti-aliasing frequencies; the potential half is
 diagonal in nodal space and is applied through an inverse/forward transform
 pair.  Both are unitary, so the discrete L2 norm is preserved.
+
+The named potentials and the Gaussian packet are sums or products of one 1-D
+factor per coordinate.  Since every z_j is a unit mod n, each coordinate
+column (k z_j mod n)/n is a permutation of m/n, so the factor is evaluated
+once over m/n and gathered along each column into one n-vector: set-up holds
+a few n-vectors at any d.  Only a custom ``func`` gets the (n, d) coordinates.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import scipy.fft
 
 from .antialias import AntiAliasingSet
 from .lattice import Rank1Lattice
-from .transform import NodalValues, SpectralState, forward
+from .transform import SpectralState
 
 __all__ = [
     "KineticTable",
@@ -29,8 +35,6 @@ __all__ = [
     "make_potential",
     "potential_apply",
     "make_gaussian",
-    "smooth_product_potential",
-    "harmonic_potential",
     "smooth_potential_coefficients",
 ]
 
@@ -116,33 +120,45 @@ def potential_apply(state: SpectralState, pf: PotentialField, b: float, dt: floa
     return SpectralState(coeffs, state.aa, state.time)
 
 
-def smooth_product_potential(x: np.ndarray) -> np.ndarray:
-    """v(x) = prod_j (1 - cos(2 pi x_j)), an analytic trigonometric polynomial."""
-    return np.prod(1.0 - np.cos(2.0 * np.pi * np.atleast_2d(x)), axis=-1)
+def _centered_square(x: np.ndarray) -> np.ndarray:
+    """(2 pi x - pi)^2, the per-coordinate term of ``harmonic_v2`` and of the Gaussian's exponent."""
+    return (2.0 * np.pi * x - np.pi) ** 2
 
 
-def harmonic_potential(x: np.ndarray) -> np.ndarray:
-    """v(x) = 1/2 sum_j (2 pi x_j - pi)^2 (periodic extension has a kink)."""
-    return 0.5 * np.sum((2.0 * np.pi * np.atleast_2d(x) - np.pi) ** 2, axis=-1)
-
-
-POTENTIAL_KINDS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "smooth_v1": smooth_product_potential,
-    "harmonic_v2": harmonic_potential,
+#: Per kind, the 1-D factor and how the d factors combine: ``smooth_v1`` =
+#: prod_j (1 - cos(2 pi x_j)), an analytic trigonometric polynomial, and
+#: ``harmonic_v2`` = sum_j (2 pi x_j - pi)^2 / 2, whose periodic extension has a kink.
+POTENTIAL_KINDS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], np.ufunc]] = {
+    "smooth_v1": (lambda x: 1.0 - np.cos(2.0 * np.pi * x), np.multiply),
+    "harmonic_v2": (lambda x: 0.5 * _centered_square(x), np.add),
 }
+
+
+def _tabulate(lattice: Rank1Lattice, factor: Callable[[np.ndarray], np.ndarray],
+              combine: np.ufunc) -> np.ndarray:
+    """``combine_j factor(x_j)`` at every lattice point, in the order j = 0..d-1.
+
+    The values equal numpy's row product over the (n, d) coordinates, and its
+    row sum for d <= 7 (from eight terms on numpy sums in pairs: a few ulp off).
+    """
+    table = factor(np.arange(lattice.n) / float(lattice.n))
+    acc = table[lattice.numerator_column(0)]
+    for j in range(1, lattice.d):
+        combine(acc, table[lattice.numerator_column(j)], out=acc)
+    return acc
 
 
 def make_potential(kind: str, lattice: Rank1Lattice,
                    func: Callable[[np.ndarray], np.ndarray] | None = None) -> PotentialField:
-    """Tabulate a named or custom potential at all lattice points."""
+    """Tabulate a named potential, or ``func`` of the (n, d) node coordinates, at all lattice points."""
     if func is not None:
         values = np.asarray(func(lattice.node_coords()), dtype=np.float64)
         return PotentialField(values, "custom", lattice)
     try:
-        f = POTENTIAL_KINDS[kind]
+        factor, combine = POTENTIAL_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown potential kind {kind!r}") from None
-    return PotentialField(f(lattice.node_coords()).astype(np.float64), kind, lattice)
+    return PotentialField(_tabulate(lattice, factor, combine), kind, lattice)
 
 
 def smooth_potential_coefficients(d: int) -> dict[tuple[int, ...], float]:
@@ -162,15 +178,18 @@ def make_gaussian(aa: AntiAliasingSet, epsilon: float = 1.0) -> SpectralState:
     """Gaussian wave packet centered at (1/2, ..., 1/2), as a unit-norm state.
 
     Samples ``(2/(pi eps))^(d/4) exp(-sum_j (2 pi x_j - pi)^2 / eps)`` on the
-    lattice, transforms, and normalizes the coefficient vector to unit l2
-    norm (the discrete Parseval-consistent normalization).
+    lattice, transforms (as ``forward``, in place), and normalizes the
+    coefficient vector to unit l2 norm (the discrete Parseval-consistent
+    normalization).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     lat = aa.lattice
-    x = lat.node_coords()
-    amp = (2.0 / (np.pi * epsilon)) ** (lat.d / 4.0)
-    vals = amp * np.exp(-np.sum((2.0 * np.pi * x - np.pi) ** 2, axis=1) / epsilon)
-    state = forward(NodalValues(vals, lat), aa)
-    state.coeffs /= np.linalg.norm(state.coeffs)
-    return state
+    vals = _tabulate(lat, _centered_square, np.add)
+    vals /= -epsilon
+    np.exp(vals, out=vals)
+    vals *= (2.0 / (np.pi * epsilon)) ** (lat.d / 4.0)
+    coeffs = scipy.fft.fft(vals.astype(np.complex128), overwrite_x=True)
+    coeffs /= lat.n
+    coeffs /= np.linalg.norm(coeffs)
+    return SpectralState(coeffs, aa)

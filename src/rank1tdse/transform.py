@@ -10,9 +10,9 @@ trigonometric polynomial.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -68,7 +68,8 @@ def forward(values: NodalValues, aa: AntiAliasingSet, time: float = 0.0) -> Spec
     """Lattice samples -> coefficients, a size-n DFT with 1/n normalization."""
     if aa.lattice.n != values.lattice.n:
         raise ValueError("nodal values and anti-aliasing set built on different lattices")
-    coeffs = scipy.fft.fft(values.values) / values.lattice.n
+    coeffs = scipy.fft.fft(values.values)
+    coeffs /= values.lattice.n
     return SpectralState(coeffs, aa, time)
 
 
@@ -110,13 +111,15 @@ def save_snapshot(state: SpectralState, path) -> None:
 
 
 def load_snapshot(path, aa: AntiAliasingSet) -> SpectralState:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated snapshot ({len(raw)} bytes, header needs 16)")
-    n, time = struct.unpack("<qd", raw[:16])
-    if n != aa.n:
-        raise ValueError(f"{path}: snapshot has n={n}, anti-aliasing set has n={aa.n}")
-    if len(raw) != 16 + 16 * n:
-        raise ValueError(f"{path}: truncated snapshot")
-    coeffs = np.frombuffer(raw[16:], dtype="<c16").astype(np.complex128)
+    """Read a snapshot written by ``save_snapshot``, checking its header and size against ``aa``."""
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 16:
+            raise ValueError(f"{path}: truncated snapshot ({len(head)} bytes, header needs 16)")
+        n, time = struct.unpack("<qd", head)
+        if n != aa.n:
+            raise ValueError(f"{path}: snapshot has n={n}, anti-aliasing set has n={aa.n}")
+        if os.fstat(fh.fileno()).st_size != 16 + 16 * n:
+            raise ValueError(f"{path}: truncated snapshot")
+        coeffs = np.fromfile(fh, dtype="<c16", count=n)
     return SpectralState(coeffs, aa, time)

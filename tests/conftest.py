@@ -1,4 +1,5 @@
 import errno
+import tracemalloc
 
 import pytest
 
@@ -27,3 +28,18 @@ class _FullDisk:
 def full_disk(monkeypatch):
     """Call it to make the package's file writes (``antialias._write_atomic``) fail halfway."""
     return lambda: monkeypatch.setattr(antialias, "open", _FullDisk, raising=False)
+
+
+def _tracemalloc_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def tracemalloc_peak():
+    """``tracemalloc_peak(fn, *args)`` is the peak of traced bytes allocated during ``fn(*args)``."""
+    return _tracemalloc_peak

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,21 +103,12 @@ def test_build_equals_whole_ball_reference(oracle_case, radius, monkeypatch):
     assert np.array_equal(aa.norms2, norms2) and aa.norms2.dtype == np.int64
 
 
-def _tracemalloc_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_build_memory_is_order_n_d():
+def test_build_memory_is_order_n_d(tracemalloc_peak):
     """A desk-scale d = 4 build peaks at O(n d) bytes; the whole-ball reference does not."""
     lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))  # cbc_construct(4, 2**14)
     bound = 32 * lat.n * lat.d
-    assert _tracemalloc_peak(antialias.build, lat) <= bound
-    assert _tracemalloc_peak(_reference_build, lat) > bound
+    assert tracemalloc_peak(antialias.build, lat) <= bound
+    assert tracemalloc_peak(_reference_build, lat) > bound
 
 
 def test_budget_counts_pairs_examined():
@@ -234,7 +224,7 @@ def test_truncated_cache_body_triggers_rebuild(tmp_path, tiny):
     assert np.array_equal(antialias.load_cache(path, lat).freq, aa.freq)
 
 
-def test_load_cache_memory_is_table_plus_norms(tmp_path):
+def test_load_cache_memory_is_table_plus_norms(tmp_path, tracemalloc_peak):
     """Loading reads the int32 table once: the peak stays within twice the table plus its norms.
 
     The second half is the set's residue check (two int64 n-vectors and a
@@ -243,7 +233,7 @@ def test_load_cache_memory_is_table_plus_norms(tmp_path):
     lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))
     path = tmp_path / "aa.bin"
     antialias.save_cache(antialias.build(lat), path)
-    assert _tracemalloc_peak(antialias.load_cache, path, lat) <= 2 * (4 * lat.n * lat.d + 8 * lat.n)
+    assert tracemalloc_peak(antialias.load_cache, path, lat) <= 2 * (4 * lat.n * lat.d + 8 * lat.n)
 
 
 def test_failed_cache_write_keeps_old_cache(tmp_path, tiny, full_disk):

@@ -49,27 +49,59 @@ _REPORT_PEAK = ("import sys; from rank1tdse.cli import main; rc = main(sys.argv[
                 "sys.exit(rc)")
 
 
+def _main_peak_kb(*args, **env):
+    """Run ``cli.main(args)`` in a child process with ``env`` added; return the child's peak RSS in KiB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_PEAK, *args],
+                          env=env, capture_output=True, text=True, timeout=1800)
+    print(proc.stdout)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1].split()[1])
+
+
+def _sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_aaset_build_paper_d6_fits_in_memory(tmp_path):
     """``aaset build --preset paper-d6 --large`` (n = 2^24) writes the pinned set under 3 GiB peak RSS."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _REPORT_PEAK, "aaset", "build", "--preset", "paper-d6", "--large",
-         "--cache-dir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=1800)
-    print(proc.stdout)
-    assert proc.returncode == 0, proc.stderr
-    peak_kb = int(proc.stdout.splitlines()[-1].split()[1])
+    peak_kb = _main_peak_kb("aaset", "build", "--preset", "paper-d6", "--large", "--cache-dir", str(tmp_path))
     assert peak_kb < 3 * 2**20
     cache = next(tmp_path.glob("aaset_d6_n16777216_*.bin"))
     assert cache.stat().st_size == 26 + 4 * 6 * 2**24
-    digest = hashlib.sha256()
-    with open(cache, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    assert digest.hexdigest() == PAPER_D6_SHA256
+    assert _sha256(cache) == PAPER_D6_SHA256
+
+
+#: SHA-256 of the snapshot of ``solve --preset paper-d6 --large --scheme strang --steps 2
+#: --time 0.002 --potential smooth_v1`` with two BLAS threads; the (n, d) row formulas of
+#: ``test_operators`` write the same bytes.  ``make_gaussian`` normalizes through a BLAS dot
+#: product whose partial sums follow the thread count: one thread writes cf074a6a…366d6.
+PAPER_D6_SOLVE_SHA256 = "79bb83eb3d9bc6acf8560a0a75034aa2d75c33c28451d50a92c8cf1f24ee6b94"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_solve_paper_d6_fits_in_memory(tmp_path):
+    """A two-step ``paper-d6`` (n = 2^24) Strang solve writes the pinned snapshot under 2.5 GiB peak RSS.
+
+    Set-up tabulated from the (n, 6) node coordinates peaked at 2.82 GiB here.
+    """
+    out = tmp_path / "state.bin"
+    peak_kb = _main_peak_kb("solve", "--preset", "paper-d6", "--large", "--scheme", "strang",
+                            "--steps", "2", "--time", "0.002", "--potential", "smooth_v1",
+                            "--cache-dir", str(tmp_path / "cache"), "--out", str(out),
+                            OPENBLAS_NUM_THREADS="2")
+    assert peak_kb < 2.5 * 2**20
+    assert out.stat().st_size == 16 + 16 * 2**24
+    assert _sha256(out) == PAPER_D6_SOLVE_SHA256
 
 
 def test_large_preset_guard(capsys):

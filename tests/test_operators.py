@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import expm
 
 from rank1tdse import antialias
 from rank1tdse.diagnostics import circulant_first_column
-from rank1tdse.lattice import Rank1Lattice, load_lattice
+from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import (
+    POTENTIAL_KINDS,
     kinetic_apply,
     make_gaussian,
     make_kinetic,
@@ -20,6 +22,26 @@ from rank1tdse.transform import SpectralState, aliasing_oracle, inverse, l2_norm
 def small():
     lat = Rank1Lattice(2, 64, (1, 19))
     return lat, antialias.build(lat)
+
+
+def _row_smooth(x):
+    """``smooth_v1`` as one reduction over the rows of the (n, d) node coordinates (the oracle)."""
+    return np.prod(1.0 - np.cos(2.0 * np.pi * np.atleast_2d(x)), axis=-1)
+
+
+def _row_harmonic(x):
+    """``harmonic_v2`` as one reduction over the rows of the (n, d) node coordinates (the oracle)."""
+    return 0.5 * np.sum((2.0 * np.pi * np.atleast_2d(x) - np.pi) ** 2, axis=-1)
+
+
+def _row_gaussian(aa, epsilon=1.0):
+    """``make_gaussian``'s coefficients from the (n, d) node coordinates (the oracle)."""
+    lat = aa.lattice
+    x = lat.node_coords()
+    amp = (2.0 / (np.pi * epsilon)) ** (lat.d / 4.0)
+    vals = amp * np.exp(-np.sum((2.0 * np.pi * x - np.pi) ** 2, axis=1) / epsilon)
+    coeffs = scipy.fft.fft(vals.astype(np.complex128)) / lat.n
+    return coeffs / np.linalg.norm(coeffs)
 
 
 def random_state(aa, seed=0):
@@ -182,3 +204,56 @@ def test_gaussian_tail_mass_paper_scale():
     st = make_gaussian(aa, epsilon=1.0)
     tail = np.sum(np.abs(st.coeffs[aa.norms2 > 100]) ** 2)
     assert tail < 1e-10
+
+
+#: (d, n, z), z None meaning ``cbc_construct(d, n)``; (3, 2^13) is the study-d3
+#: lattice and (2, 2^13, (1, 100135)) the paper-d2 vector at a smaller n.
+TABULATION_LATTICES = [(1, 2**10, (1,))] + [(d, 2**10, None) for d in range(2, 8)] + [
+    (3, 2**13, None), (2, 2**13, (1, 100135)), (5, 1000, (1, 3, 7, 11, 13))]
+
+
+@pytest.mark.parametrize("d, n, z", TABULATION_LATTICES)
+def test_tabulation_equals_row_formulas(d, n, z):
+    """Coordinate-by-coordinate tabulation is bit-identical to the (n, d) row reductions for d <= 7."""
+    lat = cbc_construct(d, n) if z is None else Rank1Lattice(d, n, z)
+    x = lat.node_coords()
+    assert np.array_equal(make_potential("smooth_v1", lat).values, _row_smooth(x))
+    assert np.array_equal(make_potential("harmonic_v2", lat).values, _row_harmonic(x))
+    aa = antialias.build(lat)
+    for eps in (1.0, 0.3):
+        assert np.array_equal(make_gaussian(aa, eps).coeffs, _row_gaussian(aa, eps))
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_tabulation_within_4_ulp_of_row_formulas_from_d8(d):
+    """From d = 8 numpy's row sum adds in pairs; the sequential sum stays within 4 ulp.
+
+    The product has no such grouping and stays bit-identical.
+    """
+    lat = cbc_construct(d, 2**10)
+    x = lat.node_coords()
+    assert np.array_equal(make_potential("smooth_v1", lat).values, _row_smooth(x))
+    want = _row_harmonic(x)
+    assert np.all(np.abs(make_potential("harmonic_v2", lat).values - want) <= 4 * np.spacing(want))
+    aa = antialias.build(lat)
+    want = _row_gaussian(aa)
+    assert np.abs(make_gaussian(aa).coeffs - want).max() <= 4 * np.spacing(np.abs(want).max())
+
+
+def test_custom_potential_gets_node_coordinates(small):
+    lat, _ = small
+    pf = make_potential(None, lat, func=_row_harmonic)
+    assert pf.kind == "custom" and np.array_equal(pf.values, make_potential("harmonic_v2", lat).values)
+
+
+def test_tabulation_memory_is_order_n(tracemalloc_peak):
+    """Named potentials and the Gaussian peak under six float64 n-vectors at d = 6; the row formulas do not."""
+    lat = Rank1Lattice(6, 2**14, (1, 6229, 2691, 7737, 717, 3893))  # cbc_construct(6, 2**14)
+    aa = antialias.build(lat)
+    bound = 6 * 8 * lat.n
+    for kind in POTENTIAL_KINDS:
+        assert tracemalloc_peak(make_potential, kind, lat) <= bound
+    assert tracemalloc_peak(make_gaussian, aa) <= bound
+    for row_formula in (_row_smooth, _row_harmonic):
+        assert tracemalloc_peak(lambda: row_formula(lat.node_coords())) > bound
+    assert tracemalloc_peak(_row_gaussian, aa) > bound
