@@ -4,7 +4,9 @@ For a rank-1 lattice (z, n) the anti-aliasing set picks, for every residue
 ``xi = h . z mod n``, one integer frequency vector ``h_xi`` of that residue
 with the smallest Euclidean norm, the lexicographically first among ties,
 so the set is reproducible bit for bit.  :func:`build` computes it from that
-definition with a min-plus recursion over the residues, in O(n d) memory.
+definition with a min-plus recursion over the residues, in O(n d) memory: the
+set itself plus two n-vectors of packed (norm, t) keys, int32 unless the
+coordinate bound is large.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ __all__ = [
 
 _MAGIC = b"AASET1"
 
-#: Squared norm of a residue that no vector in the current box reaches.
-_UNREACHED = np.iinfo(np.int64).max // 2
+#: Residues per block of a min-plus level: a block of keys stays in cache across all 2R + 1 shifts.
+_BLOCK = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -100,30 +102,53 @@ def _initial_r2(d: int, n: int) -> int:
     return max(1, math.ceil(r * r))
 
 
+def _key_dtype(d: int, radius: int) -> type:
+    """int32 keys while the unreached key ``(2R + 1) (d R^2 + 1)``, one above the largest key, is
+    below 2^30, else int64.  Every sum of a key and a shift's term ``t^2 (2R + 1) + t + R`` then
+    stays below 2^31: for d >= 2 that term is at most ``R^2 (2R + 1) + 2R < 2^29``."""
+    return np.int32 if (2 * radius + 1) * (d * radius * radius + 1) < 1 << 30 else np.int64
+
+
 def _min_plus(lattice: Rank1Lattice, radius: int, freq: np.ndarray, norms2: np.ndarray) -> None:
-    """One pass with every ``|h_k| <= radius``: ``g_1`` into ``norms2`` (``_UNREACHED`` where the
-    box reaches no vector) and level k's chosen ``t`` at residue ``r`` into ``freq[r, k]``."""
+    """One pass with every ``|h_k| <= radius``: ``g_1`` into ``norms2`` (``d R^2 + 1`` where the
+    box reaches no vector) and level k's chosen ``t`` at residue ``r`` into ``freq[r, k]``.
+
+    A level is minimized over packed keys ``norm (2R + 1) + t + R``: the least key is the
+    least norm and, among equal norms, the smallest t.  It runs one block of ``_BLOCK``
+    residues at a time through all 2R + 1 shifts, so the block stays in cache; then each key
+    is split into t, kept in ``freq``, and ``norm (2R + 1)``, the next level's input.
+    """
     n, d, z = lattice.n, lattice.d, lattice.z
+    width = 2 * radius + 1
+    dtype = _key_dtype(d, radius)
     # last coordinate alone: in (t^2, t) order the first t per residue wins
     t = np.arange(-radius, radius + 1, dtype=np.int64)
     t = t[np.argsort(t * t, kind="stable")]
     res, first = np.unique(t * z[-1] % n, return_index=True)
-    g = norms2 if d == 1 else np.empty(n, dtype=np.int64)
-    g.fill(_UNREACHED)
-    g[res] = t[first] ** 2
+    # unreached: a multiple of 2R + 1 above every key, so its minimum (at t = 0) splits back into it
+    g = np.full(n, width * (d * radius * radius + 1), dtype=dtype)
+    g[res] = t[first] ** 2 * width
     freq[res, -1] = t[first]
-    cand, better = np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+    best, cand = np.empty_like(g), np.empty(min(_BLOCK, n), dtype=dtype)
     for k in range(d - 2, -1, -1):
-        best = norms2 if k == 0 else np.empty(n, dtype=np.int64)
-        best.fill(_UNREACHED)
-        for tk in range(-radius, radius + 1):  # ascending t, strict <: the smallest t wins ties
-            s = tk * z[k] % n  # cand[r] = tk^2 + g[r - tk z_k mod n]
-            np.add(g[:n - s], tk * tk, out=cand[s:])
-            np.add(g[n - s:], tk * tk, out=cand[:s])
-            np.less(cand, best, out=better)
-            np.copyto(best, cand, where=better)
-            np.copyto(freq[:, k], tk, where=better)
-        g = best
+        # best[r] = min_t g[r - t z_k mod n] + t^2 (2R + 1) + t + R, one block of r at a time
+        for lo in range(0, n, _BLOCK):
+            blk = best[lo:lo + _BLOCK]
+            tmp = cand[:len(blk)]
+            blk.fill(np.iinfo(dtype).max)
+            for tk in range(-radius, radius + 1):
+                start = (lo - tk * z[k]) % n  # the window g[start:start + len(blk)], wrapped past n
+                head = min(len(blk), n - start)
+                key = tk * tk * width + tk + radius
+                np.add(g[start:start + head], key, out=tmp[:head])
+                np.add(g[:len(blk) - head], key, out=tmp[head:])
+                np.minimum(blk, tmp, out=blk)
+            np.remainder(blk, width, out=tmp)  # t + R; blk keeps the norm times 2R + 1
+            blk -= tmp
+            tmp -= radius
+            freq[lo:lo + len(blk), k] = tmp
+        g, best = best, g
+    np.floor_divide(g, width, out=norms2)
 
 
 def build(lattice: Rank1Lattice, budget: int = 1 << 36) -> AntiAliasingSet:
@@ -131,7 +156,8 @@ def build(lattice: Rank1Lattice, budget: int = 1 << 36) -> AntiAliasingSet:
 
     With every ``|h_k| <= R``, ``g_k(r) = min_{|t| <= R} t^2 + g_{k+1}(r - t z_k)``
     is the least ``h_k^2 + ... + h_d^2`` with ``h_k z_k + ... + h_d z_d == r``
-    (mod n): one cyclic shift of an n-vector per ``t``.  The smallest ``t`` wins
+    (mod n): one cyclic shift of an n-vector per ``t``, taken as one add and one
+    minimum over packed (norm, t) keys, block by block.  The smallest ``t`` wins
     ties, which picks the lexicographically first vector of least norm.  The
     result is exact once ``R >= isqrt(max g_1)``; until then, and while a residue
     is unreached, the build reruns with a larger ``R``.  Raises
@@ -149,14 +175,20 @@ def build(lattice: Rank1Lattice, budget: int = 1 << 36) -> AntiAliasingSet:
         examined += pairs
         _min_plus(lattice, radius, freq, norms2)
         top = int(norms2.max())
-        if top < _UNREACHED and math.isqrt(top) <= radius:
+        if top > d * radius * radius:  # a residue is unreached
+            radius *= 2
+        elif math.isqrt(top) > radius:
+            radius = math.isqrt(top)
+        else:
             break
-        radius = 2 * radius if top >= _UNREACHED else math.isqrt(top)
     # read the vectors back: h_k is level k's choice at xi - (h_1 z_1 + ... + h_{k-1} z_{k-1})
-    res = np.arange(n, dtype=np.int64)
+    res, term = np.arange(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     for k in range(1, d):
-        res = (res - freq[:, k - 1].astype(np.int64) * lattice.z[k - 1]) % n
+        np.multiply(freq[:, k - 1], lattice.z[k - 1], out=term, dtype=np.int64)
+        res -= term
+        res %= n
         freq[:, k] = freq[res, k]
+    del res, term  # before the set's own residue check allocates its two
     return AntiAliasingSet(lattice, freq, norms2)
 
 

@@ -65,11 +65,15 @@ def _cmd_lattice(args) -> int:
 def _cmd_aaset(args) -> int:
     lat = _resolve_lattice(args)
     cache_dir = args.cache_dir or experiments.default_cache_dir()
+    path = antialias.cache_path(lat, cache_dir)
     t0 = time.perf_counter()
-    aa = antialias.cached_build(lat, cache_dir)
+    try:
+        aa, action = antialias.load_cache(path, lat), "load"
+    except (FileNotFoundError, ValueError):  # no cache, or a corrupt one that cached_build replaces
+        aa, action = antialias.cached_build(lat, cache_dir), "build"
     elapsed = time.perf_counter() - t0
-    print(f"cache: {antialias.cache_path(lat, cache_dir)}")
-    print(f"n = {lat.n}, d = {lat.d}, max_norm2 = {aa.max_norm2()}, build {elapsed:.2f}s")
+    print(f"cache: {path}")
+    print(f"n = {lat.n}, d = {lat.d}, max_norm2 = {aa.max_norm2()}, {action} {elapsed:.2f}s")
     return 0
 
 

@@ -6,10 +6,10 @@ diagonal in nodal space and is applied through an inverse/forward transform
 pair.  Both are unitary, so the discrete L2 norm is preserved.
 
 The named potentials and the Gaussian packet are sums or products of one 1-D
-factor per coordinate.  Since every z_j is a unit mod n, each coordinate
-column (k z_j mod n)/n is a permutation of m/n, so the factor is evaluated
-once over m/n and gathered along each column into one n-vector: set-up holds
-a few n-vectors at any d.  Only a custom ``func`` gets the (n, d) coordinates.
+factor per coordinate.  The factor is evaluated on one coordinate column
+(k z_j mod n)/n at a time and combined into one n-vector accumulator, so
+set-up holds a few n-vectors at any d.  Only a custom ``func`` gets the
+(n, d) coordinates.
 """
 
 from __future__ import annotations
@@ -121,16 +121,31 @@ def potential_apply(state: SpectralState, pf: PotentialField, b: float, dt: floa
 
 
 def _centered_square(x: np.ndarray) -> np.ndarray:
-    """(2 pi x - pi)^2, the per-coordinate term of ``harmonic_v2`` and of the Gaussian's exponent."""
-    return (2.0 * np.pi * x - np.pi) ** 2
+    """(2 pi x - pi)^2 in place, the per-coordinate term of ``harmonic_v2`` and of the Gaussian's exponent."""
+    x *= 2.0 * np.pi
+    x -= np.pi
+    return np.square(x, out=x)
 
 
-#: Per kind, the 1-D factor and how the d factors combine: ``smooth_v1`` =
-#: prod_j (1 - cos(2 pi x_j)), an analytic trigonometric polynomial, and
-#: ``harmonic_v2`` = sum_j (2 pi x_j - pi)^2 / 2, whose periodic extension has a kink.
+def _one_minus_cos(x: np.ndarray) -> np.ndarray:
+    """1 - cos(2 pi x) in place, the per-coordinate factor of ``smooth_v1``."""
+    x *= 2.0 * np.pi
+    np.cos(x, out=x)
+    return np.subtract(1.0, x, out=x)
+
+
+def _half_centered_square(x: np.ndarray) -> np.ndarray:
+    """(2 pi x - pi)^2 / 2 in place, the per-coordinate term of ``harmonic_v2``."""
+    return np.multiply(_centered_square(x), 0.5, out=x)
+
+
+#: Per kind, the 1-D factor, which overwrites its argument, and how the d
+#: factors combine: ``smooth_v1`` = prod_j (1 - cos(2 pi x_j)), an analytic
+#: trigonometric polynomial, and ``harmonic_v2`` = sum_j (2 pi x_j - pi)^2 / 2,
+#: whose periodic extension has a kink.
 POTENTIAL_KINDS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], np.ufunc]] = {
-    "smooth_v1": (lambda x: 1.0 - np.cos(2.0 * np.pi * x), np.multiply),
-    "harmonic_v2": (lambda x: 0.5 * _centered_square(x), np.add),
+    "smooth_v1": (_one_minus_cos, np.multiply),
+    "harmonic_v2": (_half_centered_square, np.add),
 }
 
 
@@ -141,10 +156,10 @@ def _tabulate(lattice: Rank1Lattice, factor: Callable[[np.ndarray], np.ndarray],
     The values equal numpy's row product over the (n, d) coordinates, and its
     row sum for d <= 7 (from eight terms on numpy sums in pairs: a few ulp off).
     """
-    table = factor(np.arange(lattice.n) / float(lattice.n))
-    acc = table[lattice.numerator_column(0)]
-    for j in range(1, lattice.d):
-        combine(acc, table[lattice.numerator_column(j)], out=acc)
+    # the result first, below the temporaries; 1 * f and 0 + f are f (no factor is -0.0)
+    acc = np.full(lattice.n, float(combine.identity))
+    for j in range(lattice.d):
+        combine(acc, factor(lattice.numerator_column(j) / float(lattice.n)), out=acc)
     return acc
 
 
@@ -185,11 +200,14 @@ def make_gaussian(aa: AntiAliasingSet, epsilon: float = 1.0) -> SpectralState:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     lat = aa.lattice
+    coeffs = np.empty(lat.n, dtype=np.complex128)  # the result first: the temporaries lie above it
     vals = _tabulate(lat, _centered_square, np.add)
     vals /= -epsilon
     np.exp(vals, out=vals)
     vals *= (2.0 / (np.pi * epsilon)) ** (lat.d / 4.0)
-    coeffs = scipy.fft.fft(vals.astype(np.complex128), overwrite_x=True)
+    np.copyto(coeffs, vals)
+    del vals  # before the FFT, which then reuses its memory
+    coeffs = scipy.fft.fft(coeffs, overwrite_x=True)
     coeffs /= lat.n
     coeffs /= np.linalg.norm(coeffs)
     return SpectralState(coeffs, aa)

@@ -86,21 +86,34 @@ def oracle_case(request):
     return lat, _reference_build(lat)
 
 
-@pytest.mark.parametrize("radius", ["default", "small"])
-def test_build_equals_whole_ball_reference(oracle_case, radius, monkeypatch):
-    """The recursion picks the reference's vectors bit for bit, from any starting radius.
+@pytest.mark.parametrize("variant", ["default", "small", "block7", "int64"])
+def test_build_equals_whole_ball_reference(oracle_case, variant, monkeypatch):
+    """The recursion picks the reference's vectors bit for bit, from any starting radius,
+    in blocks of any length and with either key width.
 
     ``small`` starts every build at coordinate bound 3, so across the
     lattices both reruns happen: after an unreached residue (``d1-wide``,
     ``d2-wide``, ``d2``) and after ``isqrt(max g_1)`` exceeded the bound
-    (``cbc-d3``).
+    (``cbc-d3``).  ``block7`` cuts every level into blocks of 7 residues, so
+    each d >= 2 lattice but ``tiny`` spans several blocks, ends in a partial
+    one and has windows that wrap past n.  ``int64`` forces the wide keys.
     """
     lat, (freq, norms2) = oracle_case
-    if radius == "small":
+    if variant == "small":
         monkeypatch.setattr(antialias, "_initial_r2", lambda d, n: 1)
+    elif variant == "block7":
+        monkeypatch.setattr(antialias, "_BLOCK", 7)
+    elif variant == "int64":
+        monkeypatch.setattr(antialias, "_key_dtype", lambda d, radius: np.int64)
     aa = antialias.build(lat)
     assert np.array_equal(aa.freq, freq) and aa.freq.dtype == np.int32
     assert np.array_equal(aa.norms2, norms2) and aa.norms2.dtype == np.int64
+
+
+def test_key_width_follows_d_and_radius():
+    """int32 keys at ``paper-d4``'s coordinate bound; int64 at d = 2, R = 1635 (about n = 2^22's)."""
+    assert antialias._key_dtype(4, math.isqrt(antialias._initial_r2(4, 2**20)) + 2) == np.int32
+    assert antialias._key_dtype(2, 1635) == np.int64
 
 
 def test_build_memory_is_order_n_d(tracemalloc_peak):
@@ -118,6 +131,15 @@ def test_budget_counts_pairs_examined():
     assert antialias.build(lat, budget=pairs).max_norm2() == 8192
     with pytest.raises(antialias.BudgetExceededError):
         antialias.build(lat, budget=pairs - 1)
+
+
+def test_minimality_across_default_blocks():
+    """n above ``_BLOCK`` and no multiple of it: several blocks and a partial last one, unpatched."""
+    lat = Rank1Lattice(2, 100003, (1, 38197))
+    assert lat.n > antialias._BLOCK and lat.n % antialias._BLOCK
+    aa = antialias.build(lat)
+    r = math.isqrt(aa.max_norm2()) + 1
+    assert np.array_equal(brute_force_min_norms(lat, r), aa.norms2)
 
 
 def test_build_small_example(tiny):

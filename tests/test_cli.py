@@ -132,6 +132,19 @@ def test_aaset_build_writes_cache(tmp_path, capsys):
     assert loaded.freq.shape == (64, 2)
 
 
+def test_aaset_build_labels_build_and_load(tmp_path, capsys):
+    """A cold cache is built, a warm one loaded, a corrupt one built again."""
+    lat = write_lattice(tmp_path)
+    cmd = ["aaset", "build", "--lattice", lat, "--cache-dir", str(tmp_path / "cache")]
+    labels = []
+    for corrupt in (False, False, True):
+        if corrupt:
+            next((tmp_path / "cache").glob("aaset_*.bin")).write_bytes(b"AASET1garbage")
+        assert main(cmd) == 0
+        labels.append(capsys.readouterr().out.split(", ")[-1].split()[0])
+    assert labels == ["build", "load", "build"]
+
+
 def test_solve_writes_snapshot(tmp_path, capsys):
     lat = write_lattice(tmp_path)
     out = tmp_path / "state.bin"
