@@ -22,6 +22,7 @@ from . import antialias
 from .lattice import Rank1Lattice, load_lattice
 from .operators import make_gaussian, make_kinetic, make_potential
 from .splitting import ORDER_FIT_FLOOR, empirical_order, evolve, scheme
+from .transform import vector_norm
 
 __all__ = [
     "ExperimentConfig",
@@ -128,7 +129,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     rows: list[ConvergenceRow] = []
     for m in sorted(set(config.sweep_steps)):  # ascending m = descending dt
         st, _ = evolve(state0, sch, kt, pf, m, t / m, config.epsilon)
-        err = float(np.linalg.norm(ref.coeffs - st.coeffs))
+        err = vector_norm(np.subtract(ref.coeffs, st.coeffs, out=st.coeffs))
         rows.append(ConvergenceRow(m, t / m, err, err < ORDER_FIT_FLOOR))
 
     fitted = None

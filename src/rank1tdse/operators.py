@@ -5,6 +5,12 @@ to the squared norms of the anti-aliasing frequencies; the potential half is
 diagonal in nodal space and is applied through an inverse/forward transform
 pair.  Both are unitary, so the discrete L2 norm is preserved.
 
+Both stages work in place: a kinetic stage multiplies one cache-sized block of
+residues at a time by its gathered phases, and a potential stage runs the FFT
+pair over the state itself, so a stage allocates no complex n-vector (pocketfft
+keeps one n-vector of scratch per call, outside numpy).  The potential phases
+are built in their own result, without a complex temporary.
+
 The named potentials and the Gaussian packet are sums or products of one 1-D
 factor per coordinate.  The factor is evaluated on one coordinate column
 (k z_j mod n)/n at a time and combined into one n-vector accumulator, so
@@ -32,6 +38,7 @@ __all__ = [
     "POTENTIAL_KINDS",
     "make_kinetic",
     "kinetic_apply",
+    "kinetic_stage",
     "make_potential",
     "potential_apply",
     "make_gaussian",
@@ -71,8 +78,16 @@ class PotentialField:
     lattice: Rank1Lattice
 
     def phases(self, b: float, dt: float, epsilon: float) -> np.ndarray:
-        """``exp(-i b dt v(p_k) / eps)`` at every lattice point."""
-        return np.exp(-1j * (b * dt / epsilon) * self.values)
+        """``exp(-i b dt v(p_k) / eps)`` at every lattice point, built in place.
+
+        The bits equal ``np.exp(-1j * (b * dt / epsilon) * values)`` without its
+        complex temporary.
+        """
+        out = np.zeros(self.values.size, dtype=np.complex128)
+        arg = out.imag
+        np.multiply(self.values, -(b * dt / epsilon), out=arg)
+        arg += 0.0  # -0.0 -> +0.0 where v = 0, as the complex product's 0*0 + (-s)*v gives
+        return np.exp(out, out=out)
 
     def check_lattice(self, aa: AntiAliasingSet) -> None:
         """Raise ``ValueError`` unless this field was tabulated on ``aa``'s lattice."""
@@ -92,6 +107,25 @@ def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
     return KineticTable(epsilon, aa.norms2, 2.0 * np.pi**2 * epsilon * norms, index)
 
 
+#: Residues per block of a kinetic stage: 2^14 complex values, 256 KiB.
+_BLOCK = 1 << 14
+
+
+def kinetic_stage(coeffs: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``coeffs *= table[index]`` in place, one block of residues at a time.
+
+    A last block of one residue joins the block before it: numpy multiplies a
+    one-element array in place through its scalar loop, which rounds differently.
+    """
+    n, lo = coeffs.size, 0
+    while lo < n:
+        hi = lo + _BLOCK if n - lo - _BLOCK > 1 else n
+        block = coeffs[lo:hi]
+        block *= table[index[lo:hi]]
+        lo = hi
+    return coeffs
+
+
 def potential_stage(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Inverse transform, times ``phases``, forward transform (1/n and n cancel), in place."""
     x = scipy.fft.ifft(coeffs, overwrite_x=True)
@@ -104,7 +138,7 @@ def kinetic_apply(state: SpectralState, kt: KineticTable, a: float, dt: float) -
     kt.check_set(state.aa)
     if a == 0.0 or dt == 0.0:
         return state.copy()
-    coeffs = state.coeffs * kt.phases(a, dt)[kt.index]
+    coeffs = kinetic_stage(state.coeffs.copy(), kt.phases(a, dt), kt.index)
     return SpectralState(coeffs, state.aa, state.time)
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "evaluate_offlattice",
     "aliasing_oracle",
     "l2_norm",
+    "vector_norm",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -99,9 +100,19 @@ def aliasing_oracle(true_coeffs: Mapping[Sequence[int], complex], aa: AntiAliasi
     return SpectralState(coeffs, aa, time)
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous complex vector, summed by numpy over its float64 view.
+
+    No copy is made and no BLAS is called, so the bits do not depend on the
+    BLAS thread count.
+    """
+    x = v.view(np.float64)
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
+
+
 def l2_norm(state: SpectralState) -> float:
     """Euclidean norm of the coefficients = L2 norm of the polynomial (Parseval)."""
-    return float(np.linalg.norm(state.coeffs))
+    return vector_norm(state.coeffs)
 
 
 def save_snapshot(state: SpectralState, path) -> None:

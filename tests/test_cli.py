@@ -158,6 +158,14 @@ def test_solve_writes_snapshot(tmp_path, capsys):
     assert abs(np.linalg.norm(st.coeffs) - 1.0) < 1e-12
 
 
+def test_solve_reports_fft_pairs(tmp_path, capsys):
+    """Strang runs two potential stages per step: 50 steps are 100 FFT pairs."""
+    lat = write_lattice(tmp_path)
+    assert main(["solve", "--lattice", lat, "--scheme", "strang", "--steps", "50",
+                 "--cache-dir", str(tmp_path / "c"), "--out", str(tmp_path / "state.bin")]) == 0
+    assert "(100 FFT pairs)" in capsys.readouterr().out
+
+
 def test_converge_with_config_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

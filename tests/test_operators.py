@@ -3,18 +3,20 @@ import pytest
 import scipy.fft
 from scipy.linalg import expm
 
-from rank1tdse import antialias
+from rank1tdse import antialias, operators
 from rank1tdse.diagnostics import circulant_first_column
 from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import (
     POTENTIAL_KINDS,
     kinetic_apply,
+    kinetic_stage,
     make_gaussian,
     make_kinetic,
     make_potential,
     potential_apply,
     smooth_potential_coefficients,
 )
+from rank1tdse.splitting import SCHEME_NAMES, scheme
 from rank1tdse.transform import SpectralState, aliasing_oracle, inverse, l2_norm
 
 
@@ -103,6 +105,44 @@ def test_kinetic_preserves_norm(small):
     st = random_state(aa, 3)
     out = kinetic_apply(st, kt, a=0.4, dt=0.01)
     assert abs(l2_norm(out) - 1.0) < 1e-13
+
+
+def test_kinetic_stage_blocks_round_as_one_product(monkeypatch):
+    """Any block of two or more residues gives the bits of one in-place product over
+    the whole vector.  With this seed the last product, taken alone in place,
+    rounds differently, so a one-residue tail block would show."""
+    rng = np.random.default_rng(0)
+    n = 64
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    table, index = np.exp(1j * rng.standard_normal(40)), rng.integers(0, 40, n)
+    want = coeffs.copy()
+    want *= table[index]
+    for block in range(2, n + 2):
+        monkeypatch.setattr(operators, "_BLOCK", block)
+        got = kinetic_stage(coeffs.copy(), table, index)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), block
+
+
+def _custom_with_zeros(x):
+    """Negative values and exact zeros (a zero potential value makes a signed-zero argument)."""
+    return np.where(x[:, 0] < 0.3, 0.0, np.sin(7.0 * x[:, 0]) - 0.4)
+
+
+@pytest.mark.parametrize("lat", [Rank1Lattice(2, 64, (1, 19)), cbc_construct(3, 2**10),
+                                 load_lattice("paper-d2")], ids=lambda lat: f"d{lat.d}-n{lat.n}")
+def test_potential_phases_bit_identical_to_complex_product(lat):
+    """The in-place phases carry the bits, signed zeros included, of the complex product."""
+    fields = [make_potential("smooth_v1", lat), make_potential("harmonic_v2", lat),
+              make_potential(None, lat, func=_custom_with_zeros)]
+    assert np.any(fields[2].values == 0.0) and np.any(fields[2].values < 0.0)
+    weights = sorted({b for name in SCHEME_NAMES for _, b in scheme(name).stages} - {0.0})
+    for pf in fields:
+        for b in weights:
+            for dt in (1e-3, 0.25, 1 / 2048, 0.37, -0.01):
+                for eps in (1.0, 0.3):
+                    want = np.exp(-1j * (b * dt / eps) * pf.values)
+                    got = pf.phases(b, dt, eps)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (pf.kind, b, dt, eps)
 
 
 def test_potential_zero_coefficient_is_identity(small):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rank1tdse import antialias
+from rank1tdse import antialias, operators
 from rank1tdse.diagnostics import dense_multiplication_operator
 from rank1tdse.lattice import Rank1Lattice, cbc_construct
 from rank1tdse.operators import (
@@ -24,7 +24,7 @@ from rank1tdse.splitting import (
     scheme_from_json,
     step,
 )
-from rank1tdse.transform import l2_norm
+from rank1tdse.transform import SpectralState, l2_norm
 
 
 @pytest.fixture(scope="module")
@@ -184,20 +184,43 @@ _UNEVEN = scheme_from_json({"name": "uneven", "order": 1,
 
 
 def _reference_evolve(st, sch, kt, pf, m, dt, epsilon):
-    """Stage by stage, right to left, with the single-stage operators."""
+    """Stage by stage, right to left: each kinetic stage one whole-vector product, each
+    potential stage ``potential_apply``."""
     for _ in range(m):
         for a, b in reversed(sch.stages):
-            st = potential_apply(kinetic_apply(st, kt, a, dt), pf, b, dt, epsilon)
+            if a != 0.0:
+                st = SpectralState(st.coeffs * kt.phases(a, dt)[kt.index], st.aa, st.time)
+            st = potential_apply(st, pf, b, dt, epsilon)
     return st
 
 
-@pytest.mark.parametrize("sch", [scheme(name) for name in SCHEME_NAMES] + [_UNEVEN],
-                         ids=lambda sch: sch.name)
+_COMPOSITION_SCHEMES = [scheme(name) for name in SCHEME_NAMES] + [_UNEVEN]
+
+
+@pytest.mark.parametrize("sch", _COMPOSITION_SCHEMES, ids=lambda sch: sch.name)
 def test_evolve_equals_stage_composition(setup, sch):
     s = setup
     out, _ = evolve(s["st"], sch, s["kt"], s["pf"], 3, 0.05, 1.0)
     want = _reference_evolve(s["st"], sch, s["kt"], s["pf"], 3, 0.05, 1.0)
     assert np.array_equal(out.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("block", [5, 7])
+@pytest.mark.parametrize("sch", _COMPOSITION_SCHEMES, ids=lambda sch: sch.name)
+def test_evolve_equals_stage_composition_across_blocks(setup, sch, block, monkeypatch):
+    """Kinetic stages over several blocks of the n = 64 residues: 5 ends in a partial block
+    of 4, 7 in a one-residue tail that joins the block before it."""
+    monkeypatch.setattr(operators, "_BLOCK", block)
+    test_evolve_equals_stage_composition(setup, sch)
+
+
+def test_evolve_counts_fft_pairs(setup):
+    """One inverse/forward pair per stage with a nonzero b, per step."""
+    s = setup
+    _, rec = evolve(s["st"], scheme("s17odr8a"), s["kt"], s["pf"], 3, 0.01, 1.0)
+    assert rec.fft_pairs == 3 * 18
+    _, rec = evolve(s["st"], _UNEVEN, s["kt"], s["pf"], 2, 0.01, 1.0)
+    assert rec.fft_pairs == 2 * 3
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +245,29 @@ def test_evolve_memory_is_one_array_per_distinct_potential_weight(cbc_d3, name, 
     finally:
         tracemalloc.stop()
     assert peak <= vectors * 16 * lat.n, f"peak {peak / (16 * lat.n):.1f} n-vectors"
+
+
+@pytest.fixture(scope="module")
+def cbc_d3_blocks():
+    lat = cbc_construct(3, 2**16)
+    return lat, antialias.build(lat)
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_evolve_allocates_no_complex_temporary(cbc_d3_blocks, name, tracemalloc_peak):
+    """Traced peak of one evolve call: at most (distinct nonzero b + 2) complex n-vectors.
+
+    That is the evolving copy, one phase n-vector per distinct b, and one n-vector
+    for the kinetic phase tables, a block's gathered phases and the finiteness
+    check.  n = 2^16 spans four kinetic blocks (below 2^14 one block is the whole
+    vector).  pocketfft's scratch is allocated outside numpy and is not traced.
+    """
+    lat, aa = cbc_d3_blocks
+    kt, pf, st = make_kinetic(aa), make_potential("smooth_v1", lat), make_gaussian(aa)
+    sch = scheme(name)
+    vectors = len({b for _, b in sch.stages} - {0.0}) + 2
+    peak = tracemalloc_peak(evolve, st, sch, kt, pf, 3, 0.01, 1.0)
+    assert peak <= vectors * 16 * lat.n, f"peak {peak / (16 * lat.n):.2f} n-vectors"
 
 
 def _dense_order(s, pf, name, ms):

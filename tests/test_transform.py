@@ -13,6 +13,7 @@ from rank1tdse.transform import (
     l2_norm,
     load_snapshot,
     save_snapshot,
+    vector_norm,
 )
 
 
@@ -161,6 +162,22 @@ def test_l2_norm_basics(lat256):
     coeffs = np.zeros(aa.n)
     coeffs[0], coeffs[1] = 3.0, 4.0
     assert abs(l2_norm(SpectralState(coeffs, aa)) - 5.0) < 1e-15
+
+
+def test_vector_norm_is_independent_of_alignment():
+    """The same values at every 16-byte offset give the same bits, and match the BLAS norm to rounding."""
+    rng = np.random.default_rng(5)
+    n = 3 * 2**14 + 5
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    norms = set()
+    for off in range(0, 64, 16):
+        buf = np.empty(16 * n + 128, dtype=np.uint8)
+        start = -buf.ctypes.data % 64 + off
+        w = buf[start:start + 16 * n].view(np.complex128)
+        w[:] = v
+        norms.add(vector_norm(w))
+    assert len(norms) == 1
+    assert abs(norms.pop() - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_discrete_plancherel(lat256):
