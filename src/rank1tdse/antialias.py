@@ -55,21 +55,13 @@ class AntiAliasingSet:
         if self.freq.shape != (n, d):
             raise ValueError(f"freq has shape {self.freq.shape}, expected {(n, d)}")
         seen = np.zeros(n, dtype=bool)
-        seen[self.residues(self.freq)] = True
+        seen[self.lattice.residues(self.freq)] = True
         if not seen.all():
             raise ValueError("representatives do not cover every residue exactly once")
 
     @property
     def n(self) -> int:
         return self.lattice.n
-
-    def residues(self, h) -> np.ndarray:
-        """``h . z mod n`` for a (..., d) array of frequency vectors."""
-        return self.lattice.residues(h)
-
-    def residue_lookup(self, h) -> int:
-        """The residue class index of a single frequency vector."""
-        return int(self.lattice.residues(h))
 
     def max_norm2(self) -> int:
         """Largest squared l2 norm among the representatives."""

@@ -10,8 +10,7 @@ import argparse
 import json
 import sys
 import time
-
-import numpy as np
+from dataclasses import fields
 
 from . import antialias, diagnostics, experiments, selftest as _selftest
 from .lattice import PRESETS, Rank1Lattice, cbc_construct, load_lattice
@@ -22,27 +21,31 @@ from .transform import save_snapshot
 _LARGE_N = 2**22
 
 
-def _resolve_lattice(args) -> Rank1Lattice:
-    if getattr(args, "lattice", None):
-        return load_lattice(args.lattice)
-    if getattr(args, "preset", None):
-        lat = load_lattice(args.preset)
-        if lat.n >= _LARGE_N and not getattr(args, "large", False):
-            msg = f"preset {args.preset!r} has n = {lat.n}"
-            if "scheme" in args:
-                vec = scheme(args.scheme).plan_vectors()
-                gib = 16 * vec * lat.n / 2**30
-                msg += f" ({args.scheme} evolve holds {vec} complex n-vectors, {gib:.1f} GiB)"
-            raise SystemExit(f"{msg}; pass --large to confirm")
-        return lat
-    raise SystemExit("specify --preset or --lattice")
+def _resolve_lattice(args, lat: Rank1Lattice | None = None) -> Rank1Lattice:
+    """``lat``, else ``--lattice``, else ``--preset``; n >= 2^22 needs ``--large`` (solve estimates memory)."""
+    if lat is None:
+        if not (args.lattice or args.preset):
+            raise SystemExit("specify --preset or --lattice")
+        lat = load_lattice(args.lattice or args.preset)
+    if lat.n >= _LARGE_N and not args.large:
+        msg = f"lattice has n = {lat.n}"
+        if args.command == "solve":
+            vec = scheme(args.scheme).plan_vectors()
+            gib = 16 * vec * lat.n / 2**30
+            msg += f" ({args.scheme} evolve holds {vec} complex n-vectors, {gib:.1f} GiB)"
+        raise SystemExit(f"{msg}; pass --large to confirm")
+    return lat
 
 
 def _add_lattice_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS), help="built-in lattice preset")
     p.add_argument("--lattice", help="path to a JSON file {d, n, z}")
     p.add_argument("--large", action="store_true",
-                   help="allow presets with n >= 2^22 (solve's refusal estimates memory)")
+                   help="allow lattices with n >= 2^22 (solve's refusal estimates memory)")
+
+
+def _step_counts(text: str) -> list[int]:
+    return [int(m) for m in text.split(",")]
 
 
 def _cmd_lattice(args) -> int:
@@ -98,23 +101,11 @@ def _cmd_converge(args) -> int:
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-    overrides = {
-        "preset": args.preset,
-        "potential": args.potential,
-        "scheme": args.scheme,
-        "epsilon": args.epsilon,
-        "final_time": args.time,
-        "reference_steps": args.reference_steps,
-        "cache_dir": args.cache_dir,
-        "output": args.out,
-    }
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    if args.sweep:
-        doc["sweep_steps"] = [int(s) for s in args.sweep.split(",")]
+    # each override flag's dest is the config field it sets
+    doc.update({f.name: getattr(args, f.name) for f in fields(experiments.ExperimentConfig)
+                if getattr(args, f.name, None) is not None})
     config = experiments.ExperimentConfig.from_dict(doc)
-    lat = config.build_lattice()
-    if lat.n >= _LARGE_N and not args.large:
-        raise SystemExit(f"lattice has n = {lat.n}; pass --large to confirm")
+    _resolve_lattice(args, config.build_lattice())
     report = experiments.run_convergence(config)
     out = config.output or "convergence.csv"
     experiments.emit(report, out, args.format)
@@ -187,13 +178,13 @@ def main(argv=None) -> int:
     p.add_argument("--potential")
     p.add_argument("--scheme")
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--time", type=float)
+    p.add_argument("--time", dest="final_time", type=float)
     p.add_argument("--reference-steps", type=int)
-    p.add_argument("--sweep", help="comma-separated step counts")
+    p.add_argument("--sweep", dest="sweep_steps", type=_step_counts, help="comma-separated step counts")
     p.add_argument("--cache-dir")
-    p.add_argument("--out")
+    p.add_argument("--out", dest="output")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--large", action="store_true")
+    p.add_argument("--large", action="store_true", help="allow lattices with n >= 2^22")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("diagnose", help="dense-matrix structure checks")

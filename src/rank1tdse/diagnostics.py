@@ -18,12 +18,12 @@ import numpy as np
 from .antialias import AntiAliasingSet, _norms2
 from .lattice import Rank1Lattice
 from .operators import PotentialField, smooth_potential_coefficients
+from .transform import aliasing_oracle
 
 __all__ = [
     "CommutatorReport",
     "fourier_matrix",
     "dense_multiplication_operator",
-    "circulant_first_column",
     "circulant_check",
     "commutator_norm",
     "commutator_sweep",
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 1 << 12
+_GROWTH_LIMIT = 2.0  # a sweep is bounded while its largest norm is below this multiple of its smallest
 
 
 @dataclass
@@ -66,19 +67,12 @@ def dense_multiplication_operator(pf: PotentialField) -> np.ndarray:
     return (F * pf.values) @ F.conj().T
 
 
-def circulant_first_column(lattice: Rank1Lattice, coeffs) -> np.ndarray:
-    """First column ``w_j = sum of v_hat(h) over h with h . z == j (mod n)``."""
-    w = np.zeros(lattice.n, dtype=np.complex128)
-    for h, c in coeffs.items():
-        w[int(lattice.residues(h))] += c
-    return w
-
-
 def circulant_check(lattice: Rank1Lattice, aa: AntiAliasingSet, pf: PotentialField) -> float:
     """Max elementwise deviation between the two multiplication-operator builds.
 
     Compares the dense conjugation ``F diag(v) F^-1`` against the circulant
-    matrix assembled from the potential's analytic Fourier coefficients.
+    matrix assembled from the potential's analytic Fourier coefficients, whose
+    first column is their aliasing sum ``w_j = sum of v_hat(h) over h . z == j``.
     Only defined for the smooth product potential, whose coefficient support
     is finite.
     """
@@ -86,8 +80,9 @@ def circulant_check(lattice: Rank1Lattice, aa: AntiAliasingSet, pf: PotentialFie
         raise ValueError("circulant check is a desk-scale diagnostic (n <= 2^10)")
     if pf.kind != "smooth_v1":
         raise ValueError("analytic-column comparison needs a trigonometric-polynomial potential")
+    pf.check_lattice(aa)
     dense = dense_multiplication_operator(pf)
-    w = circulant_first_column(lattice, smooth_potential_coefficients(lattice.d))
+    w = aliasing_oracle(smooth_potential_coefficients(lattice.d), aa).coeffs
     xi = np.arange(lattice.n)
     analytic = w[(xi[:, None] - xi[None, :]) % lattice.n]
     return float(np.abs(dense - analytic).max())
@@ -117,19 +112,15 @@ def commutator_norm(lattice: Rank1Lattice, aa: AntiAliasingSet, pf: PotentialFie
     """Estimate ``|| ad_D^p(W) (D+I)^-p ||_2`` densely.
 
     D is the kinetic diagonal ``2 pi^2 eps ||h_xi||^2`` and W the potential
-    multiplication operator divided by eps.  The p-fold commutator is formed
-    by repeated matrix commutation and the spectral norm estimated by power
-    iteration.
+    multiplication operator divided by eps.  D is diagonal, so the p-fold
+    commutator is W scaled entrywise by ``(d_i - d_j)^p``; the spectral norm is
+    estimated by power iteration.
     """
-    if lattice.n > _DENSE_LIMIT:
-        raise ValueError(f"n = {lattice.n} too large for dense assembly")
     if not 0 <= p <= 4:
         raise ValueError("commutator order p must be in 0..4")
     d_diag = 2.0 * np.pi**2 * epsilon * aa.norms2.astype(np.float64)
-    M = dense_multiplication_operator(pf) / epsilon
-    for _ in range(p):
-        M = d_diag[:, None] * M - M * d_diag[None, :]
-    M = M / (d_diag[None, :] + 1.0) ** p  # right-multiply by (D+I)^-p
+    M = dense_multiplication_operator(pf)
+    M *= (d_diag[:, None] - d_diag[None, :]) ** p / ((d_diag[None, :] + 1.0) ** p * epsilon)
     return _spectral_norm(M)
 
 
@@ -146,17 +137,16 @@ def shifted_representatives(aa: AntiAliasingSet) -> AntiAliasingSet:
     return AntiAliasingSet(aa.lattice, freq, _norms2(freq))
 
 
-def commutator_sweep(lattices_and_sets, pf_for, p: int, epsilon: float = 1.0,
-                     growth_limit: float = 2.0) -> CommutatorReport:
+def commutator_sweep(lattices_and_sets, pf_for, p: int, epsilon: float = 1.0) -> CommutatorReport:
     """Run commutator_norm over several (lattice, set) pairs and judge the trend.
 
     ``pf_for(lattice)`` must tabulate the same potential on each lattice.
     The heuristic verdict is bounded when the overall growth factor across
-    the sweep stays below ``growth_limit``.
+    the sweep stays below ``_GROWTH_LIMIT``.
     """
     n_values, norms = [], []
     for lat, aa in lattices_and_sets:
         n_values.append(lat.n)
         norms.append(commutator_norm(lat, aa, pf_for(lat), p, epsilon))
     growth = max(norms) / max(min(norms), 1e-300)
-    return CommutatorReport(p, n_values, norms, bounded=growth < growth_limit)
+    return CommutatorReport(p, n_values, norms, bounded=growth < _GROWTH_LIMIT)

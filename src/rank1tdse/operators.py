@@ -77,6 +77,10 @@ class PotentialField:
     kind: str
     lattice: Rank1Lattice
 
+    def __post_init__(self) -> None:
+        if self.values.shape != (self.lattice.n,):
+            raise ValueError(f"potential values have shape {self.values.shape}, expected ({self.lattice.n},)")
+
     def phases(self, b: float, dt: float, epsilon: float) -> np.ndarray:
         """``exp(-i b dt v(p_k) / eps)`` at every lattice point, built in place.
 
@@ -145,8 +149,6 @@ def kinetic_apply(state: SpectralState, kt: KineticTable, a: float, dt: float) -
 def potential_apply(state: SpectralState, pf: PotentialField, b: float, dt: float,
                     epsilon: float) -> SpectralState:
     """Apply ``exp(-i b dt v(p_k) / eps)`` pointwise in nodal space (see ``potential_stage``)."""
-    if pf.values.shape != state.coeffs.shape:
-        raise ValueError("potential field and state have different sizes")
     pf.check_lattice(state.aa)
     if b == 0.0 or dt == 0.0:
         return state.copy()

@@ -13,7 +13,7 @@ from .operators import (
     smooth_potential_coefficients,
 )
 from .splitting import empirical_order, evolve, scheme
-from .transform import NodalValues, aliasing_oracle, forward, inverse, l2_norm
+from .transform import NodalValues, aliasing_oracle, forward, inverse
 
 
 def _check_transform_roundtrip() -> None:
@@ -77,7 +77,7 @@ def _check_minimality() -> None:
     r = int(np.ceil(np.sqrt(aa.max_norm2()))) + 1
     g = np.arange(-r, r + 1)
     hh = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    res = aa.residues(hh)
+    res = lat.residues(hh)
     n2 = np.einsum("ij,ij->i", hh, hh)
     best = np.full(lat.n, np.iinfo(np.int64).max)
     np.minimum.at(best, res, n2)

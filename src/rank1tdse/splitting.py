@@ -58,7 +58,10 @@ class SplittingScheme:
             )
 
     def plan_vectors(self) -> int:
-        """Complex n-vectors ``evolve`` holds: one per distinct nonzero b, state, copy, FFT scratch."""
+        """Complex n-vectors ``evolve`` holds: one per distinct nonzero b, state, copy, FFT scratch.
+
+        Not counted: one kinetic phase table per distinct nonzero a, over max ||h||^2 + 1 rates
+        (at most n), which for ``s17odr8a`` on ``paper-d2`` is 5 n-vectors more."""
         return len({b for _, b in self.stages} - {0.0}) + 3
 
 
@@ -160,6 +163,8 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
         raise ValueError("step count m must be >= 1")
     if pf.values.shape != state.coeffs.shape:
         raise ValueError("state and potential field sizes disagree")
+    if epsilon != kt.epsilon:
+        raise ValueError(f"epsilon = {epsilon!r} differs from the kinetic table's {kt.epsilon!r}")
     pf.check_lattice(state.aa)
     kt.check_set(state.aa)
     # copied before the plan is built, so that the plan's arrays lie above the
@@ -183,15 +188,15 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
     return out, rec
 
 
-def empirical_order(errors, floor: float = ORDER_FIT_FLOOR) -> float:
+def empirical_order(errors) -> float:
     """Least-squares slope of log(err) against log(dt).
 
-    Points with ``err < floor`` are discarded as roundoff noise; at least
-    three usable points are required.
+    Points with ``err < ORDER_FIT_FLOOR`` are discarded as roundoff noise; at
+    least three usable points are required.
     """
-    pts = [(dt, err) for dt, err in errors if err >= floor]
+    pts = [(dt, err) for dt, err in errors if err >= ORDER_FIT_FLOOR]
     if len(pts) < 3:
-        raise ValueError(f"only {len(pts)} points above the floor {floor}; need >= 3")
+        raise ValueError(f"only {len(pts)} points above the floor {ORDER_FIT_FLOOR}; need >= 3")
     log_dt = np.log([dt for dt, _ in pts])
     log_err = np.log([err for _, err in pts])
     slope, _ = np.polyfit(log_dt, log_err, 1)

@@ -67,7 +67,7 @@ class NodalValues:
 
 def forward(values: NodalValues, aa: AntiAliasingSet, time: float = 0.0) -> SpectralState:
     """Lattice samples -> coefficients, a size-n DFT with 1/n normalization."""
-    if aa.lattice.n != values.lattice.n:
+    if aa.lattice != values.lattice:
         raise ValueError("nodal values and anti-aliasing set built on different lattices")
     coeffs = scipy.fft.fft(values.values)
     coeffs /= values.lattice.n
@@ -96,7 +96,7 @@ def aliasing_oracle(true_coeffs: Mapping[Sequence[int], complex], aa: AntiAliasi
     """
     coeffs = np.zeros(aa.n, dtype=np.complex128)
     for h, c in true_coeffs.items():
-        coeffs[aa.residue_lookup(h)] += c
+        coeffs[int(aa.lattice.residues(h))] += c
     return SpectralState(coeffs, aa, time)
 
 

@@ -120,6 +120,26 @@ def test_large_preset_estimate_counts_scheme_arrays(capsys, name, vectors, gib):
         main(["solve", "--preset", "paper-d6", "--scheme", name])
 
 
+@pytest.mark.parametrize("cmd", [["solve", "--cache-dir", "c"], ["aaset", "build", "--cache-dir", "c"],
+                                 ["lattice", "info"]])
+def test_large_lattice_file_guard(tmp_path, monkeypatch, capsys, cmd):
+    """A ``--lattice`` file of n = 2^22 is refused without ``--large``, as a preset is."""
+    monkeypatch.chdir(tmp_path)
+    lat = write_lattice(tmp_path, n=2**22, z=(1, 3))
+    with pytest.raises(SystemExit, match="n = 4194304.*--large"):
+        main([*cmd, "--lattice", lat])
+    assert not (tmp_path / "c").exists()
+
+
+def test_large_converge_config_guard(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"d": 2, "n": 2**22, "z": [1, 3]},
+                               "cache_dir": str(tmp_path / "c")}))
+    with pytest.raises(SystemExit, match="n = 4194304.*--large"):
+        main(["converge", "--config", str(cfg)])
+    assert not (tmp_path / "c").exists()
+
+
 def test_aaset_build_writes_cache(tmp_path, capsys):
     lat = write_lattice(tmp_path)
     cache = tmp_path / "cache"

@@ -6,15 +6,16 @@ import pytest
 from rank1tdse import antialias
 from rank1tdse.diagnostics import (
     circulant_check,
-    circulant_first_column,
     commutator_norm,
     commutator_sweep,
     dense_multiplication_operator,
     fourier_matrix,
     shifted_representatives,
+    _spectral_norm,
 )
 from rank1tdse.lattice import Rank1Lattice
 from rank1tdse.operators import make_potential, smooth_potential_coefficients
+from rank1tdse.transform import aliasing_oracle
 
 
 def v1_for(lat):
@@ -58,13 +59,13 @@ def test_dense_limit_enforced():
 
 def test_first_column_d1():
     lat = Rank1Lattice(1, 8, (1,))
-    w = circulant_first_column(lat, smooth_potential_coefficients(1))
+    w = aliasing_oracle(smooth_potential_coefficients(1), antialias.build(lat)).coeffs
     assert np.allclose(w, [1.0, -0.5, 0, 0, 0, 0, 0, -0.5])
 
 
 def test_first_column_aliases_collide():
     lat = Rank1Lattice(2, 5, (1, 3))
-    w = circulant_first_column(lat, {(0, 0): 1.0, (2, 1): 2.0})  # both residue 0
+    w = aliasing_oracle({(0, 0): 1.0, (2, 1): 2.0}, antialias.build(lat)).coeffs  # both residue 0
     assert w[0] == 3.0 and np.count_nonzero(w) == 1
 
 
@@ -82,6 +83,9 @@ def test_circulant_check_guards():
     small = Rank1Lattice(2, 5, (1, 3))
     with pytest.raises(ValueError, match="trigonometric"):
         circulant_check(small, antialias.build(small), make_potential("harmonic_v2", small))
+    other = Rank1Lattice(2, 5, (1, 2))
+    with pytest.raises(ValueError, match="another lattice"):
+        circulant_check(small, antialias.build(other), v1_for(small))
 
 
 def test_commutator_p0_is_operator_norm():
@@ -90,6 +94,19 @@ def test_commutator_p0_is_operator_norm():
     got = commutator_norm(lat, aa, v1_for(lat), p=0)
     want = np.linalg.norm(dense_multiplication_operator(v1_for(lat)), ord=2)
     assert abs(got - want) < 1e-8 * want
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_commutator_equals_repeated_commutation(p):
+    """The entrywise (d_i - d_j)^p scaling against p explicit commutations D M - M D."""
+    lat = Rank1Lattice(2, 64, (1, 19))
+    aa, pf, eps = antialias.build(lat), v1_for(lat), 0.7
+    d = 2.0 * np.pi**2 * eps * aa.norms2.astype(np.float64)
+    M = dense_multiplication_operator(pf) / eps
+    for _ in range(p):
+        M = d[:, None] * M - M * d[None, :]
+    want = _spectral_norm(M / (d[None, :] + 1.0) ** p)
+    assert abs(commutator_norm(lat, aa, pf, p, eps) - want) <= 1e-12 * want
 
 
 def test_commutator_p_validation():
@@ -103,7 +120,7 @@ def test_shifted_representatives_same_residues():
     lat = Rank1Lattice(2, 64, (1, 19))
     aa = antialias.build(lat)
     shifted = shifted_representatives(aa)
-    assert np.array_equal(shifted.residues(shifted.freq), aa.residues(aa.freq))
+    assert np.array_equal(lat.residues(shifted.freq), lat.residues(aa.freq))
     assert shifted.norms2[0] == 0  # the zero vector is kept as-is
     assert shifted.norms2[1:].min() >= lat.n**2 - 2 * lat.n * np.abs(aa.freq[:, 0]).max()
 

@@ -4,7 +4,6 @@ import scipy.fft
 from scipy.linalg import expm
 
 from rank1tdse import antialias, operators
-from rank1tdse.diagnostics import circulant_first_column
 from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import (
     POTENTIAL_KINDS,
@@ -176,7 +175,7 @@ def test_potential_matches_dense_matrix_exponential(small):
     st = random_state(aa, 5)
     got = potential_apply(st, pf, b, dt, eps).coeffs
     # dense circulant from the analytic coefficients, exponentiated directly
-    w = circulant_first_column(lat, smooth_potential_coefficients(lat.d))
+    w = aliasing_oracle(smooth_potential_coefficients(lat.d), aa).coeffs
     xi = np.arange(lat.n)
     W = w[(xi[:, None] - xi[None, :]) % lat.n]
     want = expm(-1j * b * dt / eps * W) @ st.coeffs
@@ -284,6 +283,13 @@ def test_custom_potential_gets_node_coordinates(small):
     lat, _ = small
     pf = make_potential(None, lat, func=_row_harmonic)
     assert pf.kind == "custom" and np.array_equal(pf.values, make_potential("harmonic_v2", lat).values)
+
+
+def test_custom_potential_of_wrong_shape_rejected(small):
+    """A ``func`` returning the (n, d) coordinates themselves is refused at tabulation."""
+    lat, _ = small
+    with pytest.raises(ValueError, match=r"shape \(64, 2\)"):
+        make_potential(None, lat, func=lambda x: x)
 
 
 def test_tabulation_memory_is_order_n(tracemalloc_peak):

@@ -178,6 +178,14 @@ def test_potential_apply_rejects_field_from_another_lattice(setup):
         potential_apply(s["st"], pf, 0.5, 0.1, 1.0)
 
 
+def test_epsilon_other_than_the_kinetic_table_rejected(setup):
+    """The kinetic and potential phases of one call share one epsilon."""
+    s = setup
+    kt = make_kinetic(s["aa"], 0.5)
+    with pytest.raises(ValueError, match="kinetic table"):
+        evolve(s["st"], scheme("strang"), kt, s["pf"], 4, 0.1, 1.0)
+
+
 # Not palindromic; repeated a and b weights, a zero b and a nonzero last a.
 _UNEVEN = scheme_from_json({"name": "uneven", "order": 1,
                             "a": [0.3, 0.3, 0.1, 0.3], "b": [0.2, 0.6, 0.2, 0.0]})

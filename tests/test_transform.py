@@ -257,3 +257,10 @@ def test_size_mismatch_rejected(lat256):
     lat, aa = lat256
     with pytest.raises(ValueError):
         forward(NodalValues(np.ones(5), Rank1Lattice(2, 5, (1, 3))), aa)
+
+
+def test_forward_rejects_set_of_another_lattice():
+    """Equal n is not enough: the set must be built on the values' own lattice."""
+    vals = NodalValues(np.ones(64), Rank1Lattice(2, 64, (1, 19)))
+    with pytest.raises(ValueError, match="different lattices"):
+        forward(vals, antialias.build(Rank1Lattice(2, 64, (1, 27))))
