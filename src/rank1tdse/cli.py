@@ -30,7 +30,7 @@ def _resolve_lattice(args, lat: Rank1Lattice | None = None) -> Rank1Lattice:
     if lat.n >= _LARGE_N and not args.large:
         msg = f"lattice has n = {lat.n}"
         if args.command == "solve":
-            vec = scheme(args.scheme).plan_vectors()
+            vec = scheme(args.scheme).plan_vectors(lat.n)
             gib = 16 * vec * lat.n / 2**30
             msg += f" ({args.scheme} evolve holds {vec} complex n-vectors, {gib:.1f} GiB)"
         raise SystemExit(f"{msg}; pass --large to confirm")
@@ -118,9 +118,11 @@ def _cmd_diagnose(args) -> int:
     lat = _resolve_lattice(args)
     cache_dir = args.cache_dir or experiments.default_cache_dir()
     if args.check == "circulant":
+        if lat.n > diagnostics.CIRCULANT_LIMIT:
+            raise SystemExit(f"lattice has n = {lat.n}; the circulant check is desk-scale (n <= 2^10)")
         aa = antialias.cached_build(lat, cache_dir)
         pf = make_potential("smooth_v1", lat)
-        dev = diagnostics.circulant_check(lat, aa, pf)
+        dev = diagnostics.circulant_check(aa, pf)
         print(f"max deviation: {dev:.3e}")
         return 0 if dev <= 1e-10 else 1
     # commutator sweep over the given moduli, CBC vectors per n

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antialias import AntiAliasingSet, _norms2
-from .lattice import Rank1Lattice
 from .operators import PotentialField, smooth_potential_coefficients
 from .transform import aliasing_oracle
 
@@ -31,6 +30,7 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 1 << 12
+CIRCULANT_LIMIT = 1 << 10
 _GROWTH_LIMIT = 2.0  # a sweep is bounded while its largest norm is below this multiple of its smallest
 
 
@@ -67,7 +67,7 @@ def dense_multiplication_operator(pf: PotentialField) -> np.ndarray:
     return (F * pf.values) @ F.conj().T
 
 
-def circulant_check(lattice: Rank1Lattice, aa: AntiAliasingSet, pf: PotentialField) -> float:
+def circulant_check(aa: AntiAliasingSet, pf: PotentialField) -> float:
     """Max elementwise deviation between the two multiplication-operator builds.
 
     Compares the dense conjugation ``F diag(v) F^-1`` against the circulant
@@ -76,15 +76,15 @@ def circulant_check(lattice: Rank1Lattice, aa: AntiAliasingSet, pf: PotentialFie
     Only defined for the smooth product potential, whose coefficient support
     is finite.
     """
-    if lattice.n > 1 << 10:
+    if aa.n > CIRCULANT_LIMIT:
         raise ValueError("circulant check is a desk-scale diagnostic (n <= 2^10)")
     if pf.kind != "smooth_v1":
         raise ValueError("analytic-column comparison needs a trigonometric-polynomial potential")
     pf.check_lattice(aa)
     dense = dense_multiplication_operator(pf)
-    w = aliasing_oracle(smooth_potential_coefficients(lattice.d), aa).coeffs
-    xi = np.arange(lattice.n)
-    analytic = w[(xi[:, None] - xi[None, :]) % lattice.n]
+    w = aliasing_oracle(smooth_potential_coefficients(aa.lattice.d), aa).coeffs
+    xi = np.arange(aa.n)
+    analytic = w[(xi[:, None] - xi[None, :]) % aa.n]
     return float(np.abs(dense - analytic).max())
 
 
@@ -107,8 +107,7 @@ def _spectral_norm(M: np.ndarray, iters: int = 50, rtol: float = 1e-8) -> float:
     return float(np.sqrt(lam))
 
 
-def commutator_norm(lattice: Rank1Lattice, aa: AntiAliasingSet, pf: PotentialField,
-                    p: int, epsilon: float = 1.0) -> float:
+def commutator_norm(aa: AntiAliasingSet, pf: PotentialField, p: int, epsilon: float = 1.0) -> float:
     """Estimate ``|| ad_D^p(W) (D+I)^-p ||_2`` densely.
 
     D is the kinetic diagonal ``2 pi^2 eps ||h_xi||^2`` and W the potential
@@ -147,6 +146,6 @@ def commutator_sweep(lattices_and_sets, pf_for, p: int, epsilon: float = 1.0) ->
     n_values, norms = [], []
     for lat, aa in lattices_and_sets:
         n_values.append(lat.n)
-        norms.append(commutator_norm(lat, aa, pf_for(lat), p, epsilon))
+        norms.append(commutator_norm(aa, pf_for(lat), p, epsilon))
     growth = max(norms) / max(min(norms), 1e-300)
     return CommutatorReport(p, n_values, norms, bounded=growth < _GROWTH_LIMIT)

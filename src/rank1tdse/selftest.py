@@ -67,7 +67,7 @@ def _check_order_fit() -> None:
 def _check_circulant() -> None:
     lat = Rank1Lattice(2, 5, (1, 3))
     aa = antialias.build(lat)
-    dev = diagnostics.circulant_check(lat, aa, make_potential("smooth_v1", lat))
+    dev = diagnostics.circulant_check(aa, make_potential("smooth_v1", lat))
     assert dev < 1e-13
 
 

@@ -10,8 +10,8 @@ rather than looping over single steps.  The plan holds one phase n-vector per
 distinct nonzero ``b`` and one phase table over the kinetic table's rates (at
 most n) per distinct nonzero ``a``.  The stages run in place on one evolving
 copy of the state: a kinetic stage gathers its phases block by block, and a
-potential stage's FFT pair uses one n-vector of pocketfft scratch (see
-``SplittingScheme.plan_vectors``).
+potential stage runs its FFT pair, with one n-vector of pocketfft scratch on
+the 1-D pair only (see ``SplittingScheme.plan_vectors``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import KineticTable, PotentialField, kinetic_stage, potential_stage
+from .operators import KineticTable, PotentialField, four_step_split, kinetic_stage, potential_stage
 from .transform import SpectralState, vector_norm
 
 __all__ = [
@@ -57,12 +57,14 @@ class SplittingScheme:
                 f"scheme {self.name!r}: stage sums ({sa}, {sb}) must both equal 1"
             )
 
-    def plan_vectors(self) -> int:
-        """Complex n-vectors ``evolve`` holds: one per distinct nonzero b, state, copy, FFT scratch.
+    def plan_vectors(self, n: int) -> int:
+        """Complex n-vectors ``evolve`` holds at length n: one per distinct nonzero b, state,
+        copy, and pocketfft's scratch where the potential stage runs the 1-D pair.
 
         Not counted: one kinetic phase table per distinct nonzero a, over max ||h||^2 + 1 rates
-        (at most n), which for ``s17odr8a`` on ``paper-d2`` is 5 n-vectors more."""
-        return len({b for _, b in self.stages} - {0.0}) + 3
+        (at most n), which for ``s17odr8a`` on ``paper-d2`` is 5 n-vectors more, and the
+        four-step pair's twiddle tables and block buffer (n/2 at n = 2^16, n/11 at 2^20)."""
+        return len({b for _, b in self.stages} - {0.0}) + 2 + (four_step_split(n) is None)
 
 
 @dataclass
@@ -172,13 +174,14 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
     coeffs = state.coeffs.copy()
     kin = {a: kt.phases(a, dt) for a in {a for a, _ in sch.stages} - {0.0}}
     pot = {b: pf.phases(b, dt, epsilon) for b in {b for _, b in sch.stages} - {0.0}}
+    pair = potential_stage(coeffs.size)
     t0 = _time.perf_counter()
     for k in range(m):
         for a, b in reversed(sch.stages):
             if a != 0.0:
                 kinetic_stage(coeffs, kin[a], kt.index)
             if b != 0.0:
-                coeffs = potential_stage(coeffs, pot[b])
+                coeffs = pair(coeffs, pot[b])
         if not np.all(np.isfinite(coeffs)):
             raise FloatingPointError(f"non-finite coefficients after step {k + 1} of {m}")
     wall = _time.perf_counter() - t0

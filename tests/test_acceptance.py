@@ -264,7 +264,7 @@ def test_circulant_equivalence():
     worst = 0.0
     for lat in (Rank1Lattice(1, 8, (1,)), Rank1Lattice(2, 5, (1, 3))):
         aa = antialias.build(lat)
-        worst = max(worst, circulant_check(lat, aa, make_potential("smooth_v1", lat)))
+        worst = max(worst, circulant_check(aa, make_potential("smooth_v1", lat)))
     ok = worst <= 1e-12
     _line("circulant equivalence", ok, f"max deviation {worst:.3e} (<= 1e-12)")
     assert ok

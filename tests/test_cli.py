@@ -83,8 +83,8 @@ def test_aaset_build_paper_d6_fits_in_memory(tmp_path):
 #: SHA-256 of the snapshot of ``solve --preset paper-d6 --large --scheme strang --steps 2
 #: --time 0.002 --potential smooth_v1`` with two BLAS threads; the (n, d) row formulas of
 #: ``test_operators`` write the same bytes.  ``make_gaussian`` normalizes through a BLAS dot
-#: product whose partial sums follow the thread count: one thread writes cf074a6a…366d6.
-PAPER_D6_SOLVE_SHA256 = "79bb83eb3d9bc6acf8560a0a75034aa2d75c33c28451d50a92c8cf1f24ee6b94"
+#: product whose partial sums follow the thread count: one thread writes b1741787…b8ea4.
+PAPER_D6_SOLVE_SHA256 = "c676a7fbca821149e654a7b88d553f2f748a6fad19622d8a808d6a65809222ee"
 
 
 @pytest.mark.slow
@@ -110,11 +110,11 @@ def test_large_preset_guard(capsys):
 
 
 @pytest.mark.parametrize("name,vectors,gib", [
-    ("strang", 4, "1.0"),      # 1 distinct potential weight + 3
-    ("s17odr8a", 12, "3.0"),   # 9 distinct potential weights + 3
+    ("strang", 3, "0.8"),      # 1 distinct potential weight + 2
+    ("s17odr8a", 11, "2.8"),   # 9 distinct potential weights + 2
 ])
 def test_large_preset_estimate_counts_scheme_arrays(capsys, name, vectors, gib):
-    """n = 2^24: vectors * 16n bytes."""
+    """n = 2^24: vectors * 16n bytes; the four-step pair keeps no n-vector of FFT scratch."""
     with pytest.raises(SystemExit,
                        match=rf"{name} evolve holds {vectors} complex n-vectors, {gib} GiB.*--large"):
         main(["solve", "--preset", "paper-d6", "--scheme", name])
@@ -224,6 +224,14 @@ def test_diagnose_circulant(tmp_path, capsys):
                "--cache-dir", str(tmp_path / "c")])
     assert rc == 0
     assert "max deviation" in capsys.readouterr().out
+
+
+def test_diagnose_circulant_refuses_large_n(tmp_path, capsys):
+    """n > 2^10 is refused in one line, as solve and aaset refuse, not with a traceback."""
+    lat = write_lattice(tmp_path, d=3, n=4096, z=(1, 1571, 1209))
+    with pytest.raises(SystemExit, match=r"^lattice has n = 4096; the circulant check is desk-scale"):
+        main(["diagnose", "circulant", "--lattice", lat, "--cache-dir", str(tmp_path / "c")])
+    assert not (tmp_path / "c").exists()
 
 
 def test_diagnose_commutator(tmp_path, capsys):

@@ -127,10 +127,18 @@ def _custom_with_zeros(x):
     return np.where(x[:, 0] < 0.3, 0.0, np.sin(7.0 * x[:, 0]) - 0.4)
 
 
+def _stage_order(n):
+    """The lattice point at each position of the potential stage's nodal order."""
+    split = operators.four_step_split(n)
+    return np.arange(n) if split is None else np.arange(n).reshape(split).T.ravel()
+
+
 @pytest.mark.parametrize("lat", [Rank1Lattice(2, 64, (1, 19)), cbc_construct(3, 2**10),
                                  load_lattice("paper-d2")], ids=lambda lat: f"d{lat.d}-n{lat.n}")
 def test_potential_phases_bit_identical_to_complex_product(lat):
-    """The in-place phases carry the bits, signed zeros included, of the complex product."""
+    """The in-place phases carry the bits, signed zeros included, of the complex product,
+    in the stage's order (paper-d2, n = 2^16, runs the four-step pair)."""
+    order = _stage_order(lat.n)
     fields = [make_potential("smooth_v1", lat), make_potential("harmonic_v2", lat),
               make_potential(None, lat, func=_custom_with_zeros)]
     assert np.any(fields[2].values == 0.0) and np.any(fields[2].values < 0.0)
@@ -139,9 +147,33 @@ def test_potential_phases_bit_identical_to_complex_product(lat):
         for b in weights:
             for dt in (1e-3, 0.25, 1 / 2048, 0.37, -0.01):
                 for eps in (1.0, 0.3):
-                    want = np.exp(-1j * (b * dt / eps) * pf.values)
+                    want = np.exp(-1j * (b * dt / eps) * pf.values)[order]
                     got = pf.phases(b, dt, eps)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (pf.kind, b, dt, eps)
+
+
+def _random_pair_inputs(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n), np.exp(-1j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", [2**15, 2**16, 3 * 2**14])
+def test_four_step_pair_matches_1d_pair(n):
+    """The four-step stage, given the phases in its order, agrees with the 1-D pair to 1e-14."""
+    assert operators.four_step_split(n) is not None
+    coeffs, phases = _random_pair_inputs(n)
+    want = scipy.fft.fft(scipy.fft.ifft(coeffs) * phases)
+    got = operators.potential_stage(n)(coeffs.copy(), phases[_stage_order(n)])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [2**13, 65537])
+def test_small_or_prime_n_keeps_the_1d_pair(n):
+    """Below 2^15 and for a prime n the stage is the 1-D pair, bit for bit."""
+    assert operators.four_step_split(n) is None
+    coeffs, phases = _random_pair_inputs(n)
+    want = scipy.fft.fft(scipy.fft.ifft(coeffs) * phases)
+    assert np.array_equal(operators.potential_stage(n)(coeffs.copy(), phases), want)
 
 
 def test_potential_zero_coefficient_is_identity(small):

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from rank1tdse import antialias, operators
 from rank1tdse.diagnostics import dense_multiplication_operator
-from rank1tdse.lattice import Rank1Lattice, cbc_construct
+from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import (
     kinetic_apply,
     make_gaussian,
@@ -192,12 +192,17 @@ _UNEVEN = scheme_from_json({"name": "uneven", "order": 1,
 
 
 def _reference_evolve(st, sch, kt, pf, m, dt, epsilon):
-    """Stage by stage, right to left: each kinetic stage one whole-vector product, each
-    potential stage ``potential_apply``."""
+    """Stage by stage, right to left: each kinetic stage one whole-vector in-place product,
+    each potential stage ``potential_apply``.
+
+    In place, because numpy's complex product with FMA is not commutative bitwise, and
+    ``coeffs * temporary`` over 256 KiB is computed into the temporary as ``temporary * coeffs``."""
     for _ in range(m):
         for a, b in reversed(sch.stages):
             if a != 0.0:
-                st = SpectralState(st.coeffs * kt.phases(a, dt)[kt.index], st.aa, st.time)
+                coeffs = st.coeffs.copy()
+                coeffs *= kt.phases(a, dt)[kt.index]
+                st = SpectralState(coeffs, st.aa, st.time)
             st = potential_apply(st, pf, b, dt, epsilon)
     return st
 
@@ -211,6 +216,20 @@ def test_evolve_equals_stage_composition(setup, sch):
     out, _ = evolve(s["st"], sch, s["kt"], s["pf"], 3, 0.05, 1.0)
     want = _reference_evolve(s["st"], sch, s["kt"], s["pf"], 3, 0.05, 1.0)
     assert np.array_equal(out.coeffs, want.coeffs)
+
+
+@pytest.fixture(scope="module")
+def setup_four_step():
+    lat = load_lattice("paper-d2")
+    aa = antialias.build(lat)
+    return {"aa": aa, "kt": make_kinetic(aa), "pf": make_potential("smooth_v1", lat), "st": make_gaussian(aa)}
+
+
+@pytest.mark.parametrize("sch", _COMPOSITION_SCHEMES, ids=lambda sch: sch.name)
+def test_evolve_equals_stage_composition_four_step(setup_four_step, sch):
+    """The same on paper-d2 (n = 2^16), whose potential stages run the four-step pair."""
+    assert operators.four_step_split(setup_four_step["aa"].n) is not None
+    test_evolve_equals_stage_composition(setup_four_step, sch)
 
 
 @pytest.mark.parametrize("block", [5, 7])
@@ -268,7 +287,8 @@ def test_evolve_allocates_no_complex_temporary(cbc_d3_blocks, name, tracemalloc_
     That is the evolving copy, one phase n-vector per distinct b, and one n-vector
     for the kinetic phase tables, a block's gathered phases and the finiteness
     check.  n = 2^16 spans four kinetic blocks (below 2^14 one block is the whole
-    vector).  pocketfft's scratch is allocated outside numpy and is not traced.
+    vector).  Its potential stages run the four-step pair, whose twiddle tables and
+    block buffer (0.52 n-vectors here) are traced; the 1-D pair's pocketfft scratch is not.
     """
     lat, aa = cbc_d3_blocks
     kt, pf, st = make_kinetic(aa), make_potential("smooth_v1", lat), make_gaussian(aa)
@@ -276,6 +296,12 @@ def test_evolve_allocates_no_complex_temporary(cbc_d3_blocks, name, tracemalloc_
     vectors = len({b for _, b in sch.stages} - {0.0}) + 2
     peak = tracemalloc_peak(evolve, st, sch, kt, pf, 3, 0.01, 1.0)
     assert peak <= vectors * 16 * lat.n, f"peak {peak / (16 * lat.n):.2f} n-vectors"
+
+
+def test_plan_vectors_count_fft_scratch_only_on_the_1d_pair():
+    """State, copy and one phase n-vector per distinct nonzero b, plus the 1-D pair's scratch."""
+    assert [scheme(name).plan_vectors(2**13) for name in SCHEME_NAMES] == [4, 8, 12]
+    assert [scheme(name).plan_vectors(2**20) for name in SCHEME_NAMES] == [3, 7, 11]
 
 
 def _dense_order(s, pf, name, ms):
