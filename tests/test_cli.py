@@ -109,15 +109,24 @@ def test_large_preset_guard(capsys):
         main(["aaset", "build", "--preset", "paper-d6"])
 
 
-@pytest.mark.parametrize("name,vectors,gib", [
-    ("strang", 3, "0.8"),      # 1 distinct potential weight + 2
-    ("s17odr8a", 11, "2.8"),   # 9 distinct potential weights + 2
+#: The prime just above 2^24: no balanced split, so the potential stage is the 1-D pair.
+_PRIME_NEAR_2_24 = 2**24 + 43
+
+
+@pytest.mark.parametrize("name,vectors,gib,n", [
+    pytest.param("strang", 3, "0.8", None, id="strang-3-0.8"),           # 1 distinct b + 2
+    pytest.param("s17odr8a", 11, "2.8", None, id="s17odr8a-11-2.8"),     # 9 distinct b + 2
+    pytest.param("strang", 4, "1.0", _PRIME_NEAR_2_24, id="strang-4-1.0"),        # + FFT scratch
+    pytest.param("s17odr8a", 12, "3.0", _PRIME_NEAR_2_24, id="s17odr8a-12-3.0"),  # + FFT scratch
 ])
-def test_large_preset_estimate_counts_scheme_arrays(capsys, name, vectors, gib):
-    """n = 2^24: vectors * 16n bytes; the four-step pair keeps no n-vector of FFT scratch."""
+def test_large_preset_estimate_counts_scheme_arrays(tmp_path, capsys, name, vectors, gib, n):
+    """vectors * 16n bytes at n ~ 2^24: the paper-d6 preset runs the four-step pair, which keeps
+    no n-vector of FFT scratch; a ``--lattice`` file of prime n runs the 1-D pair, which keeps one."""
+    source = (["--preset", "paper-d6"] if n is None else
+              ["--lattice", write_lattice(tmp_path, n=n, z=(1, 3)), "--cache-dir", str(tmp_path / "c")])
     with pytest.raises(SystemExit,
                        match=rf"{name} evolve holds {vectors} complex n-vectors, {gib} GiB.*--large"):
-        main(["solve", "--preset", "paper-d6", "--scheme", name])
+        main(["solve", *source, "--scheme", name])
 
 
 @pytest.mark.parametrize("cmd", [["solve", "--cache-dir", "c"], ["aaset", "build", "--cache-dir", "c"],
