@@ -118,8 +118,10 @@ def _cmd_diagnose(args) -> int:
     lat = _resolve_lattice(args)
     cache_dir = args.cache_dir or experiments.default_cache_dir()
     if args.check == "circulant":
-        if lat.n > diagnostics.CIRCULANT_LIMIT:
-            raise SystemExit(f"lattice has n = {lat.n}; the circulant check is desk-scale (n <= 2^10)")
+        try:
+            diagnostics.check_circulant_size(lat.n)
+        except ValueError as e:
+            raise SystemExit(str(e)) from None
         aa = antialias.cached_build(lat, cache_dir)
         pf = make_potential("smooth_v1", lat)
         dev = diagnostics.circulant_check(aa, pf)

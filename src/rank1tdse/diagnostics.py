@@ -23,6 +23,7 @@ __all__ = [
     "CommutatorReport",
     "fourier_matrix",
     "dense_multiplication_operator",
+    "check_circulant_size",
     "circulant_check",
     "commutator_norm",
     "commutator_sweep",
@@ -30,7 +31,6 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 1 << 12
-CIRCULANT_LIMIT = 1 << 10
 _GROWTH_LIMIT = 2.0  # a sweep is bounded while its largest norm is below this multiple of its smallest
 
 
@@ -67,6 +67,12 @@ def dense_multiplication_operator(pf: PotentialField) -> np.ndarray:
     return (F * pf.values) @ F.conj().T
 
 
+def check_circulant_size(n: int) -> None:
+    """Raise ``ValueError`` for n > 2^10, where ``circulant_check``'s dense n x n matrices are not desk-scale."""
+    if n > 1 << 10:
+        raise ValueError(f"lattice has n = {n}; the circulant check is desk-scale (n <= 2^10)")
+
+
 def circulant_check(aa: AntiAliasingSet, pf: PotentialField) -> float:
     """Max elementwise deviation between the two multiplication-operator builds.
 
@@ -76,8 +82,7 @@ def circulant_check(aa: AntiAliasingSet, pf: PotentialField) -> float:
     Only defined for the smooth product potential, whose coefficient support
     is finite.
     """
-    if aa.n > CIRCULANT_LIMIT:
-        raise ValueError("circulant check is a desk-scale diagnostic (n <= 2^10)")
+    check_circulant_size(aa.n)
     if pf.kind != "smooth_v1":
         raise ValueError("analytic-column comparison needs a trigonometric-polynomial potential")
     pf.check_lattice(aa)

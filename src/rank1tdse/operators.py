@@ -82,13 +82,11 @@ class PotentialField:
             raise ValueError(f"potential values have shape {self.values.shape}, expected ({self.lattice.n},)")
 
     def phases(self, b: float, dt: float, epsilon: float) -> np.ndarray:
-        """``exp(-i b dt v(p_k) / eps)`` at every lattice point, in ``values.reshape(four_step_split(n)).T``
-        order where the stage runs the four-step pair.
+        """``exp(-i b dt v(p_k) / eps)`` at every lattice point, in ``potential_stage``'s nodal order.
 
         The bits equal ``np.exp(-1j * (b * dt / epsilon) * values)`` without its complex temporary.
         """
-        split = four_step_split(self.values.size)
-        values = self.values if split is None else self.values.reshape(split).T
+        values = self.values.reshape(four_step_split(self.values.size) or (1, -1)).T
         out = np.zeros(values.shape, dtype=np.complex128)
         arg = out.imag
         np.multiply(values, -(b * dt / epsilon), out=arg)
@@ -115,6 +113,7 @@ def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
 
 #: Residues per block of a kinetic stage: 2^14 complex values, 256 KiB.
 _BLOCK = 1 << 14
+_FOUR_STEP_MIN = 1 << 15  # the four-step pair from n = 2^15, timed on powers of two (at 2^13 no faster)
 
 
 def kinetic_stage(coeffs: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -132,15 +131,10 @@ def kinetic_stage(coeffs: np.ndarray, table: np.ndarray, index: np.ndarray) -> n
     return coeffs
 
 
-#: The four-step pair runs from n = 2^15 on (at 2^13 it was no faster than the 1-D pair) where
-#: n = m1 m2 with m2 <= 16 m1 (at 2^16, m2 = 256 m1 still ran as fast as the 1-D pair).
-_FOUR_STEP_MIN, _FOUR_STEP_RATIO = 1 << 15, 16
-
-
 def four_step_split(n: int) -> tuple[int, int] | None:
-    """(m1, m2) of the four-step pair at length n, m1 the largest divisor up to sqrt(n); None for the 1-D pair."""
-    m1 = next(k for k in range(math.isqrt(n), 0, -1) if n % k == 0)
-    return (m1, n // m1) if n >= _FOUR_STEP_MIN and n // m1 <= _FOUR_STEP_RATIO * m1 else None
+    """(m1, m2) = (2^(k//2), n/m1) of the four-step pair at n = 2^k >= 2^15; None where the 1-D pair runs."""
+    m1 = 1 << (n.bit_length() - 1) // 2
+    return (m1, n // m1) if n >= _FOUR_STEP_MIN and n & (n - 1) == 0 else None
 
 
 def _pair_1d(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -149,14 +143,13 @@ def _pair_1d(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return scipy.fft.fft(x, overwrite_x=True)
 
 
-def _four_step_pair(m1: int, m2: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The pair on the coefficients viewed as (m2, m1), its middle passes one block of rows at a time.
-
-    The twiddle exp(2 pi i j_b xi_a / n) of row j_b = r + l, r its block's first row, is row r
-    of ``hi`` times row l of ``lo``; the two tables hold about n^(3/4) values."""
-    n, rows = m1 * m2, max(_BLOCK // m1, math.isqrt(m2))
-    lo, hi = (np.exp((2j * np.pi / n) * (np.outer(j, np.arange(m1)) % n))
-              for j in (np.arange(rows), np.arange(0, m2, rows)))
+def potential_stage(n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Inverse FFT, times ``PotentialField.phases``, forward FFT, in place; four-step on (m2, m1)
+    from ``four_step_split``, a block of rows at a time, row r + l's twiddle ``hi[r] lo[l]``."""
+    if (split := four_step_split(n)) is None:
+        return _pair_1d
+    (m1, m2), rows = split, max(_BLOCK // split[0], math.isqrt(split[1]))
+    lo, hi = (np.exp((2j * np.pi / n) * (np.outer(j, range(m1)) % n)) for j in (range(rows), range(0, m2, rows)))
     buffer = np.empty_like(lo)
 
     def pair(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -171,12 +164,6 @@ def _four_step_pair(m1: int, m2: int) -> Callable[[np.ndarray, np.ndarray], np.n
             block *= np.conjugate(twiddle, out=twiddle)
         return scipy.fft.fft(c, axis=0, overwrite_x=True).reshape(-1)
     return pair
-
-
-def potential_stage(n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The in-place stage ``(coeffs, phases) -> coeffs`` at length n: inverse FFT, times ``PotentialField.phases``
-    (in their order), forward FFT, 1/n and n cancelling; four-step where ``four_step_split(n)`` allows."""
-    return _pair_1d if (split := four_step_split(n)) is None else _four_step_pair(*split)
 
 
 def kinetic_apply(state: SpectralState, kt: KineticTable, a: float, dt: float) -> SpectralState:

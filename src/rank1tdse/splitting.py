@@ -63,7 +63,7 @@ class SplittingScheme:
 
         Not counted: one kinetic phase table per distinct nonzero a, over max ||h||^2 + 1 rates
         (at most n), which for ``s17odr8a`` on ``paper-d2`` is 5 n-vectors more, and the
-        four-step pair's twiddle tables and block buffer (n/2 at n = 2^16, n/11 at 2^20)."""
+        four-step pair's twiddle tables and block buffer (n/2 at n = 2^16, n/11 at 2^20, 3n/64 at 2^24)."""
         return len({b for _, b in self.stages} - {0.0}) + 2 + (four_step_split(n) is None)
 
 

@@ -109,7 +109,7 @@ def test_large_preset_guard(capsys):
         main(["aaset", "build", "--preset", "paper-d6"])
 
 
-#: The prime just above 2^24: no balanced split, so the potential stage is the 1-D pair.
+#: The prime just above 2^24: not a power of two, so the potential stage is the 1-D pair.
 _PRIME_NEAR_2_24 = 2**24 + 43
 
 
