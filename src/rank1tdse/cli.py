@@ -50,7 +50,10 @@ def _step_counts(text: str) -> list[int]:
 
 def _cmd_lattice(args) -> int:
     if args.action == "gen":
-        lat = cbc_construct(args.d, args.n)
+        try:
+            lat = cbc_construct(args.d, args.n)
+        except ValueError as e:
+            raise SystemExit(f"lattice gen: {e}") from None
     else:
         lat = _resolve_lattice(args)
     doc = lat.to_dict()
@@ -81,6 +84,8 @@ def _cmd_aaset(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.steps < 1:
+        raise SystemExit(f"--steps must be at least 1, got {args.steps}")
     lat = _resolve_lattice(args)
     cache_dir = args.cache_dir or experiments.default_cache_dir()
     aa = antialias.cached_build(lat, cache_dir)

@@ -8,6 +8,7 @@ only when a function is evaluated at the points.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -15,20 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-__all__ = [
-    "Rank1Lattice",
-    "PRESETS",
-    "load_lattice",
-    "cbc_construct",
-]
+__all__ = ["Rank1Lattice", "PRESETS", "load_lattice", "cbc_construct"]
 
-#: Built-in generating vectors, keyed by preset name.  Against ``cbc_construct``
-#: (unweighted Korobov alpha=1): ``paper-d2`` is not its output, (1, 19463).
-#: ``paper-d4`` is its output when the direct dot product runs on two or more
-#: BLAS threads; on one the second component's exact tie breaks the other way,
-#: to (1, 387275, 314993, 50301).  ``paper-d6``/``paper-d8`` are unchecked: at
-#: n = 2^24 about 7e4 candidates of the second component score within the tie
-#: tolerance, too many to re-score directly.
+#: Built-in generating vectors, keyed by preset name.  Given each preset's own
+#: earlier components, ``paper-d4``, ``paper-d6`` and ``paper-d8`` are choices of
+#: ``cbc_construct`` up to an orbit tie at component 2 (443165 is tied with its
+#: 387275, 6422017 with its 6159871); ``paper-d2`` is not, its CBC z is (1, 19463).
 PRESETS: dict[str, tuple[int, int, tuple[int, ...]]] = {
     "paper-d2": (2, 2**16, (1, 100135)),
     "paper-d4": (4, 2**20, (1, 443165, 95693, 34519)),
@@ -129,11 +122,11 @@ def _korobov_kernel_table(n: int) -> np.ndarray:
     return 2.0 * np.pi**2 * (x * x - x + 1.0 / 6.0)
 
 
-#: Candidates whose FFT score lies within ``_TIE_TOL * sum|p| * max|1 + omega|``
-#: of the FFT minimum are re-scored by direct summation (see ``cbc_construct``).
-#: FFT and direct scores differ by at most 9.5e-16 in these units over d <= 8,
-#: n <= 2^13; the direct minimum stays in the re-scored set while the tolerance
-#: exceeds twice the difference.
+#: Tie tolerance of ``cbc_construct``, in units of ``||p||_2 ||omega||_2 / sqrt(n)``.
+#: Against long-double direct sums over each component's 48 lowest-scoring units,
+#: the FFT score errs by at most 3.8e-15 at n <= 2^16 (d <= 8) and 2.3e-15 at
+#: 2^24; the next score above a tie set lies at least 8.9e-8 (n <= 2^16), 2.7e-10
+#: (2^20) and 4.9e-12 (2^24) above the least.
 _TIE_TOL = 1e-13
 
 
@@ -189,51 +182,51 @@ def _unit_group(n: int) -> np.ndarray:
     return table
 
 
-def cbc_construct(d: int, n: int) -> Rank1Lattice:
-    """Greedy component-by-component generating vector for the alpha=1 criterion.
-
-    The first component is fixed to 1; each later component c is chosen among
-    the units of Z_n to minimize the squared worst-case error
-    ``E(c) = sum_k p[k] (1 + omega(k c / n))``, where ``p`` is the running
-    product over the components already fixed.  Ties go to the smallest c.
-
-    All E(c) are evaluated at once (Nuyens--Cools fast CBC): the terms with
-    ``gcd(k, n) = g`` depend only on ``c mod n/g`` and form a correlation over
-    the unit group of Z_{n/g}, one real FFT over its cyclic factors, so a
-    component costs O(n log n).  The candidates within ``_TIE_TOL`` of the FFT
-    minimum are then re-scored by the direct O(n) sum in ascending order with
-    strict ``<``, which is the slow search's choice bit for bit.
-    """
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
-    weight = 1.0 + _korobov_kernel_table(n)
-    k = np.arange(n, dtype=np.int64)
+def _tie_sets(n: int, z: list[int]):
+    """Yield, for i = 0, 1, ..., the ascending units c of Z_n tied for the least score
+    ``sum_k p[k] omega(k c / n)``, ``p[k] = prod_{l <= i} (1 + omega(k z[l] / n))``;
+    ``z[i]`` is read when set i is asked for, so the caller may extend ``z`` meanwhile."""
+    omega = _korobov_kernel_table(n)
     divisors = [1]
     for q, e in _prime_factors(n).items():
         divisors = [g * q**i for g in divisors for i in range(e + 1)]
-    # per divisor g < n: the units u of Z_{n/g} and the spectrum of 1 + omega(g u / n)
+    # per divisor g < n: the units u of Z_{n/g} and the spectrum of omega(g u / n)
     levels = []
     for g in sorted(divisors)[:-1]:
         units = _unit_group(n // g)
-        levels.append((g, units, scipy.fft.rfftn(weight[g * units])))
+        levels.append((g, units, scipy.fft.rfftn(omega[g * units])))
     candidates = np.sort(levels[0][1], axis=None)
-    z = [1]
-    # running product over already-fixed components of (1 + omega(k z_j / n))
-    prods = weight
-    for _ in range(1, d):
-        score = np.full(candidates.size, prods[0] * weight[0])
+    prods = np.ones(n)
+    for i in itertools.count():
+        prods *= 1.0 + omega[np.arange(n) * z[i] % n]
+        score = np.full(candidates.size, prods[0] * omega[0])
         for g, units, spectrum in levels:
             corr = scipy.fft.irfftn(np.conj(scipy.fft.rfftn(prods[g * units])) * spectrum,
                                     units.shape)
             by_residue = np.empty(n // g)
             by_residue[units] = corr
             score += by_residue[candidates % (n // g)]
-        tol = _TIE_TOL * np.abs(prods).sum() * np.abs(weight).max()
-        best_c, best_err = None, np.inf
-        for c in candidates[score <= score.min() + tol]:
-            err = float(prods @ weight[(k * c) % n])
-            if err < best_err:  # strict: earlier (smaller) candidate wins ties
-                best_c, best_err = int(c), err
-        z.append(best_c)
-        prods = prods * weight[(k * best_c) % n]
+        tol = _TIE_TOL * np.sqrt(np.sum(prods * prods) * np.sum(omega * omega) / n)
+        yield candidates[score <= score.min() + tol]
+
+
+def cbc_construct(d: int, n: int) -> Rank1Lattice:
+    """Greedy component-by-component generating vector for the alpha=1 criterion.
+
+    z_1 = 1; each later component is a unit c of Z_n minimizing the squared
+    worst-case error ``sum_k p[k] (1 + omega(k c / n))``, ``p`` the product over
+    the components already fixed.  A unit scores ``sum_k p[k] omega(k c / n)``,
+    without the constant ``sum_k p[k]``, and all scores come at once from the
+    fast CBC of Nuyens--Cools: the terms with ``gcd(k, n) = g`` form a correlation
+    over the unit group of Z_{n/g}, one real FFT, so a component costs O(n log n).
+    Exact ties are common (c ~ n - c, and c ~ c^-1 for component 2), so c is the
+    smallest unit scoring within ``_TIE_TOL ||p||_2 ||omega||_2 / sqrt(n)`` of the
+    least.  Measured in these units up to n = 2^24 (see ``_TIE_TOL``), the FFT errs by
+    at most 3.8e-15 and every score outside the tie set lies 4.9e-12 or more above it.
+    """
+    if n < 2 or d < 1:
+        raise ValueError("need n >= 2 and d >= 1")
+    z = [1]
+    for ties in itertools.islice(_tie_sets(n, z), d - 1):
+        z.append(int(ties[0]))
     return Rank1Lattice(d, n, tuple(z))

@@ -104,6 +104,38 @@ def test_solve_paper_d6_fits_in_memory(tmp_path):
     assert _sha256(out) == PAPER_D6_SOLVE_SHA256
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_lattice_gen_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """``lattice gen`` at d = 4, n = 2^20 writes the same file on one and on two BLAS threads.
+
+    The second component is an exact tie (387275 and 443165 score equal), which a rule
+    that let rounding decide would break by how the BLAS splits a dot product over threads.
+    """
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"z{threads}.json"
+        _main_peak_kb("lattice", "gen", "--d", "4", "--n", str(2**20), "--out", str(out),
+                      OPENBLAS_NUM_THREADS=threads)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["z"] == [1, 387275, 314993, 50301]
+
+
+@pytest.mark.parametrize("cmd, message", [
+    (["lattice", "gen", "--n", "1"], "lattice gen: need n >= 2 and d >= 1"),
+    (["lattice", "gen", "--d", "0"], "lattice gen: need n >= 2 and d >= 1"),
+    (["solve", "--preset", "paper-d2", "--steps", "0", "--cache-dir", "c"],
+     "--steps must be at least 1, got 0"),
+])
+def test_bad_input_exits_in_one_line(tmp_path, monkeypatch, capsys, cmd, message):
+    """Bad numbers end the command with a one-line message, not a traceback, before any work."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(cmd)
+    assert exc.value.code == message
+    assert not (tmp_path / "c").exists()
+
+
 def test_large_preset_guard(capsys):
     with pytest.raises(SystemExit, match="--large"):
         main(["aaset", "build", "--preset", "paper-d6"])

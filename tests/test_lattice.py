@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rank1tdse.lattice import (PRESETS, Rank1Lattice, _korobov_kernel_table, _unit_group,
-                               cbc_construct, load_lattice)
+from rank1tdse.lattice import (PRESETS, _TIE_TOL, Rank1Lattice, _korobov_kernel_table, _tie_sets,
+                               _unit_group, cbc_construct, load_lattice)
 
 
 def test_point_origin():
@@ -120,20 +121,18 @@ def test_cbc_small_invariants():
 
 
 def _slow_cbc(d: int, n: int) -> tuple[int, ...]:
-    """Reference CBC: every unit candidate scored by direct O(n) summation, O(n^2) per component."""
+    """Reference CBC: every unit scored by a direct O(n) sum of p[k] omega(k c / n), O(n^2)
+    per component; the smallest unit within the tie tolerance of the least score wins."""
     omega = _korobov_kernel_table(n)
     k = np.arange(n, dtype=np.int64)
+    units = [c for c in range(1, n) if math.gcd(c, n) == 1]
     z = [1]
-    prods = 1.0 + omega[k % n]
-    candidates = [c for c in range(1, n) if math.gcd(c, n) == 1]
+    prods = 1.0 + omega
     for _ in range(1, d):
-        best_c, best_err = None, np.inf
-        for c in candidates:
-            err = float(prods @ (1.0 + omega[(k * c) % n]))
-            if err < best_err:  # strict: earlier (smaller) candidate wins ties
-                best_c, best_err = c, err
-        z.append(best_c)
-        prods = prods * (1.0 + omega[(k * best_c) % n])
+        scores = np.array([np.sum(prods * omega[k * c % n]) for c in units])  # pairwise, no BLAS
+        tol = _TIE_TOL * np.sqrt(np.sum(prods * prods) * np.sum(omega * omega) / n)
+        z.append(units[np.flatnonzero(scores <= scores.min() + tol)[0]])
+        prods = prods * (1.0 + omega[k * z[-1] % n])
     return tuple(z)
 
 
@@ -173,3 +172,23 @@ def test_unit_group_layout(n):
 
 def test_cbc_d2_power_of_two_full_size():
     assert cbc_construct(2, 2**16).z == (1, 19463)
+
+
+def test_paper_d2_is_not_a_cbc_choice():
+    """Its second component, 100135 = 34599 mod 2^16, is not tied for the least score."""
+    d, n, z = PRESETS["paper-d2"]
+    ties = next(_tie_sets(n, [1])).tolist()
+    assert ties == [19463, 25015, 40521, 46073] and z[1] % n not in ties
+
+
+@pytest.mark.parametrize("name, second", [
+    ("paper-d4", 387275),
+    pytest.param("paper-d8", 6159871, marks=pytest.mark.slow),  # paper-d6 is its prefix; ~35 s, 1.2 GiB
+])
+def test_presets_are_cbc_choices_up_to_an_orbit_tie(name, second):
+    """Given the preset's own earlier components, component 2 is tied for the least score with
+    the CBC choice ``second``, and every later component is the smallest unit of its tie set."""
+    d, n, z = PRESETS[name]
+    ties = [t.tolist() for t in itertools.islice(_tie_sets(n, list(z)), d - 1)]
+    assert ties[0][0] == second and z[1] in ties[0]
+    assert [t[0] for t in ties[1:]] == list(z[2:])
