@@ -96,7 +96,8 @@ def _cmd_solve(args) -> int:
     final, rec = evolve(state, sch, kt, pf, args.steps, args.time / args.steps, args.epsilon)
     save_snapshot(final, args.out)
     print(f"evolved {rec.steps_taken} steps of dt = {rec.dt!r} "
-          f"in {rec.wall_time:.2f}s ({rec.fft_pairs} FFT pairs), final norm {rec.final_norm!r}")
+          f"in {rec.wall_time:.2f}s ({rec.fft_pairs} FFT pairs), workers = {rec.workers}, "
+          f"final norm {rec.final_norm!r}")
     print(f"snapshot: {args.out}")
     return 0
 

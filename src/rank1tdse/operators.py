@@ -9,7 +9,8 @@ Both stages work in place: a kinetic stage multiplies one cache-sized block of
 residues at a time by its gathered phases, and a potential stage runs the FFT
 pair over the state itself (from n = 2^15 a four-step transform whose nodal order is
 transposed), so a stage allocates no complex n-vector.  The potential phases are
-built in their own result, in the stage's order, without a complex temporary.
+built in their own result, in the stage's order, without a complex temporary.  From
+n = 2^20 the blocks of all three go to a thread per CPU, with the bits of one thread.
 
 The named potentials and the Gaussian packet are sums or products of one 1-D
 factor per coordinate.  The factor is evaluated on one coordinate column
@@ -20,8 +21,11 @@ set-up holds a few n-vectors at any d.  Only a custom ``func`` gets the
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,13 +89,19 @@ class PotentialField:
         """``exp(-i b dt v(p_k) / eps)`` at every lattice point, in ``potential_stage``'s nodal order.
 
         The bits equal ``np.exp(-1j * (b * dt / epsilon) * values)`` without its complex temporary.
+        Each row block of the stage's order is built from a cache-blocked read of ``values``.
         """
-        values = self.values.reshape(four_step_split(self.values.size) or (1, -1)).T
-        out = np.zeros(values.shape, dtype=np.complex128)
-        arg = out.imag
-        np.multiply(values, -(b * dt / epsilon), out=arg)
-        arg += 0.0  # -0.0 -> +0.0 where v = 0, as the complex product's 0*0 + (-s)*v gives
-        return np.exp(out, out=out).reshape(-1)
+        n, scale, split = self.values.size, -(b * dt / epsilon), four_step_split(self.values.size)
+        (m1, m2), rows = (split, len(_twiddles(n)[0])) if split else ((1, n), _BLOCK)  # the pair's row blocks
+        values, out = self.values.reshape(m1, m2), np.zeros((m2, m1), np.complex128)
+
+        def build(starts: range) -> None:
+            for r in starts:
+                block, arg = out[r:r + rows], np.multiply(values[:, r:r + rows], scale)
+                np.add(arg.T, 0.0, out=block.imag)  # -0.0 -> +0.0 where v = 0, as the complex product gives
+                np.exp(block, out=block)
+        _deal(build, range(0, m2, rows), stage_workers(n))
+        return out.reshape(-1)
 
     def check_lattice(self, aa: AntiAliasingSet) -> None:
         """Raise ``ValueError`` unless this field was tabulated on ``aa``'s lattice."""
@@ -114,20 +124,39 @@ def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
 #: Residues per block of a kinetic stage: 2^14 complex values, 256 KiB.
 _BLOCK = 1 << 14
 _FOUR_STEP_MIN = 1 << 15  # the four-step pair from n = 2^15, timed on powers of two (at 2^13 no faster)
+_PARALLEL_MIN = 1 << 20  # threads from n = 2^20: two lost at 2^16, and in one session of three up to 2^19
+_pool = functools.lru_cache(maxsize=1)(ThreadPoolExecutor)  # one pool of ``workers`` threads, made when first used
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def stage_workers(n: int) -> int:
+    """Threads the stages of length ``n`` run on: every CPU of the process from ``_PARALLEL_MIN``, else 1
+    (and 1 where the platform reports no CPU affinity)."""
+    return len(os.sched_getaffinity(0)) if n >= _PARALLEL_MIN and hasattr(os, "sched_getaffinity") else 1
+
+
+def _deal(task: Callable[[range], None], blocks: range, workers: int) -> None:
+    """``task(blocks[i::workers])`` for each of ``workers`` pool threads; one worker is this thread."""
+    if workers == 1:
+        return task(blocks)
+    list(_pool(workers).map(task, (blocks[i::workers] for i in range(workers))))  # raises a task's error
 
 
 def kinetic_stage(coeffs: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``coeffs *= table[index]`` in place, one block of residues at a time.
+    """``coeffs *= table[index]`` in place, one block of residues at a time, on ``stage_workers`` threads.
 
     A last block of one residue joins the block before it: numpy multiplies a
     one-element array in place through its scalar loop, which rounds differently.
     """
-    n, lo = coeffs.size, 0
-    while lo < n:
-        hi = lo + _BLOCK if n - lo - _BLOCK > 1 else n
-        block = coeffs[lo:hi]
-        block *= table[index[lo:hi]]
-        lo = hi
+    n = coeffs.size
+
+    def multiply(starts: range) -> None:
+        for lo in starts:
+            hi = lo + _BLOCK if n - lo - _BLOCK > 1 else n
+            block = coeffs[lo:hi]
+            block *= table[index[lo:hi]]
+    _deal(multiply, range(0, max(n - 1, 1), _BLOCK), stage_workers(n))
     return coeffs
 
 
@@ -135,6 +164,15 @@ def four_step_split(n: int) -> tuple[int, int] | None:
     """(m1, m2) = (2^(k//2), n/m1) of the four-step pair at n = 2^k >= 2^15; None where the 1-D pair runs."""
     m1 = 1 << (n.bit_length() - 1) // 2
     return (m1, n // m1) if n >= _FOUR_STEP_MIN and n & (n - 1) == 0 else None
+
+
+@functools.lru_cache(maxsize=4)
+def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The four-step pair's read-only twiddle tables: ``lo`` within a block of rows, ``hi`` per block."""
+    (m1, m2), rows = (split := four_step_split(n)), max(_BLOCK // split[0], math.isqrt(split[1]))
+    lo, hi = (np.exp((2j * np.pi / n) * (np.outer(j, range(m1)) % n)) for j in (range(rows), range(0, m2, rows)))
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 def _pair_1d(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -145,24 +183,28 @@ def _pair_1d(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 def potential_stage(n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Inverse FFT, times ``PotentialField.phases``, forward FFT, in place; four-step on (m2, m1)
-    from ``four_step_split``, a block of rows at a time, row r + l's twiddle ``hi[r] lo[l]``."""
+    from ``four_step_split``, a block of rows at a time, row r + l's twiddle ``hi[r] lo[l]``.
+    Blocks go to ``stage_workers(n)`` threads, each with its own buffer, as do the batched passes."""
     if (split := four_step_split(n)) is None:
         return _pair_1d
-    (m1, m2), rows = split, max(_BLOCK // split[0], math.isqrt(split[1]))
-    lo, hi = (np.exp((2j * np.pi / n) * (np.outer(j, range(m1)) % n)) for j in (range(rows), range(0, m2, rows)))
-    buffer = np.empty_like(lo)
+    (m1, m2), (lo, hi), workers = split, _twiddles(n), stage_workers(n)
+    rows, buffers = len(lo), np.empty((workers, *lo.shape), dtype=lo.dtype)
 
     def pair(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
         c, p = coeffs.reshape(m2, m1), phases.reshape(m2, m1)
-        scipy.fft.ifft(c, axis=0, overwrite_x=True)
-        for r, h in zip(range(0, m2, rows), hi):
-            block, twiddle = c[r:r + rows], np.multiply(lo[:m2 - r], h, out=buffer[:m2 - r])
-            block *= twiddle
-            scipy.fft.ifft(block, axis=1, overwrite_x=True)
-            block *= p[r:r + rows]
-            scipy.fft.fft(block, axis=1, overwrite_x=True)
-            block *= np.conjugate(twiddle, out=twiddle)
-        return scipy.fft.fft(c, axis=0, overwrite_x=True).reshape(-1)
+
+        def middle(starts: range) -> None:
+            for r in starts:  # block r // rows is thread (r // rows) % workers's
+                twiddle = np.multiply(lo[:m2 - r], hi[r // rows], out=buffers[r // rows % workers, :m2 - r])
+                block = c[r:r + rows]
+                block *= twiddle
+                scipy.fft.ifft(block, axis=1, overwrite_x=True)
+                block *= p[r:r + rows]
+                scipy.fft.fft(block, axis=1, overwrite_x=True)
+                block *= np.conjugate(twiddle, out=twiddle)
+        scipy.fft.ifft(c, axis=0, overwrite_x=True, workers=workers)
+        _deal(middle, range(0, m2, rows), workers)
+        return scipy.fft.fft(c, axis=0, overwrite_x=True, workers=workers).reshape(-1)
     return pair
 
 

@@ -11,7 +11,8 @@ distinct nonzero ``b`` and one phase table over the kinetic table's rates (at
 most n) per distinct nonzero ``a``.  The stages run in place on one evolving
 copy of the state: a kinetic stage gathers its phases block by block, and a
 potential stage runs its FFT pair, with one n-vector of pocketfft scratch on
-the 1-D pair only (see ``SplittingScheme.plan_vectors``).
+the 1-D pair only (see ``SplittingScheme.plan_vectors``).  Both, and the phase
+build, run on ``EvolutionRecord.workers`` = ``operators.stage_workers(n)`` threads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import KineticTable, PotentialField, four_step_split, kinetic_stage, potential_stage
+from .operators import KineticTable, PotentialField, four_step_split, kinetic_stage, potential_stage, stage_workers
 from .transform import SpectralState, vector_norm
 
 __all__ = [
@@ -62,8 +63,8 @@ class SplittingScheme:
         copy, and pocketfft's scratch where the potential stage runs the 1-D pair.
 
         Not counted: one kinetic phase table per distinct nonzero a, over max ||h||^2 + 1 rates
-        (at most n), which for ``s17odr8a`` on ``paper-d2`` is 5 n-vectors more, and the
-        four-step pair's twiddle tables and block buffer (n/2 at n = 2^16, n/11 at 2^20, 3n/64 at 2^24)."""
+        (at most n), which for ``s17odr8a`` on ``paper-d2`` is 5 n-vectors more, and the four-step
+        pair's twiddle tables and block buffer per thread (n/2 at 2^16; n/8 at 2^20, n/16 at 2^24 on two)."""
         return len({b for _, b in self.stages} - {0.0}) + 2 + (four_step_split(n) is None)
 
 
@@ -74,6 +75,7 @@ class EvolutionRecord:
     wall_time: float
     final_norm: float
     fft_pairs: int  # inverse/forward transform pairs run: m * (stages with b != 0)
+    workers: int  # threads the stages ran on: operators.stage_workers(n)
 
 
 # Sixth-order "s9odr6a" table: entries j=1..5 shown, the rest by symmetry
@@ -187,7 +189,7 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
     wall = _time.perf_counter() - t0
     out = SpectralState(coeffs, state.aa, state.time + m * dt)
     pairs = m * sum(b != 0.0 for _, b in sch.stages)
-    rec = EvolutionRecord(m, dt, wall, vector_norm(coeffs), pairs)
+    rec = EvolutionRecord(m, dt, wall, vector_norm(coeffs), pairs, stage_workers(coeffs.size))
     return out, rec
 
 

@@ -1,5 +1,9 @@
 import errno
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +47,24 @@ def _tracemalloc_peak(fn, *args):
 def tracemalloc_peak():
     """``tracemalloc_peak(fn, *args)`` is the peak of traced bytes allocated during ``fn(*args)``."""
     return _tracemalloc_peak
+
+
+def _run_python(code, *args, cpus=None, timeout=1800, **env):
+    """Run ``python -c code *args`` with this checkout's package on its path and ``env`` added,
+    on the CPUs ``cpus`` (all of this process's by default), set before ``code`` imports anything.
+    Return the child's standard output; its own output is printed, and a failure fails the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if cpus is not None:
+        code = f"import os; os.sched_setaffinity(0, {set(cpus)!r})\n{code}"
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+    print(proc.stdout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def python_child():
+    """``python_child(code, *args, cpus=None, **env)``: the standard output of a child Python process."""
+    return _run_python

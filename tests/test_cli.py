@@ -1,8 +1,5 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +46,9 @@ _REPORT_PEAK = ("import sys; from rank1tdse.cli import main; rc = main(sys.argv[
                 "sys.exit(rc)")
 
 
-def _main_peak_kb(*args, **env):
+def _main_peak_kb(python_child, *args, **env):
     """Run ``cli.main(args)`` in a child process with ``env`` added; return the child's peak RSS in KiB."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, **env,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _REPORT_PEAK, *args],
-                          env=env, capture_output=True, text=True, timeout=1800)
-    print(proc.stdout)
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout.splitlines()[-1].split()[1])
+    return int(python_child(_REPORT_PEAK, *args, **env).splitlines()[-1].split()[1])
 
 
 def _sha256(path):
@@ -71,9 +61,10 @@ def _sha256(path):
 
 @pytest.mark.slow
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_aaset_build_paper_d6_fits_in_memory(tmp_path):
+def test_aaset_build_paper_d6_fits_in_memory(tmp_path, python_child):
     """``aaset build --preset paper-d6 --large`` (n = 2^24) writes the pinned set under 3 GiB peak RSS."""
-    peak_kb = _main_peak_kb("aaset", "build", "--preset", "paper-d6", "--large", "--cache-dir", str(tmp_path))
+    peak_kb = _main_peak_kb(python_child, "aaset", "build", "--preset", "paper-d6", "--large",
+                            "--cache-dir", str(tmp_path))
     assert peak_kb < 3 * 2**20
     cache = next(tmp_path.glob("aaset_d6_n16777216_*.bin"))
     assert cache.stat().st_size == 26 + 4 * 6 * 2**24
@@ -89,13 +80,13 @@ PAPER_D6_SOLVE_SHA256 = "c676a7fbca821149e654a7b88d553f2f748a6fad19622d8a808d6a6
 
 @pytest.mark.slow
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_solve_paper_d6_fits_in_memory(tmp_path):
+def test_solve_paper_d6_fits_in_memory(tmp_path, python_child):
     """A two-step ``paper-d6`` (n = 2^24) Strang solve writes the pinned snapshot under 2.5 GiB peak RSS.
 
     Set-up tabulated from the (n, 6) node coordinates peaked at 2.82 GiB here.
     """
     out = tmp_path / "state.bin"
-    peak_kb = _main_peak_kb("solve", "--preset", "paper-d6", "--large", "--scheme", "strang",
+    peak_kb = _main_peak_kb(python_child, "solve", "--preset", "paper-d6", "--large", "--scheme", "strang",
                             "--steps", "2", "--time", "0.002", "--potential", "smooth_v1",
                             "--cache-dir", str(tmp_path / "cache"), "--out", str(out),
                             OPENBLAS_NUM_THREADS="2")
@@ -105,7 +96,7 @@ def test_solve_paper_d6_fits_in_memory(tmp_path):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_lattice_gen_bytes_do_not_depend_on_blas_threads(tmp_path):
+def test_lattice_gen_bytes_do_not_depend_on_blas_threads(tmp_path, python_child):
     """``lattice gen`` at d = 4, n = 2^20 writes the same file on one and on two BLAS threads.
 
     The second component is an exact tie (387275 and 443165 score equal), which a rule
@@ -114,7 +105,7 @@ def test_lattice_gen_bytes_do_not_depend_on_blas_threads(tmp_path):
     texts = []
     for threads in ("1", "2"):
         out = tmp_path / f"z{threads}.json"
-        _main_peak_kb("lattice", "gen", "--d", "4", "--n", str(2**20), "--out", str(out),
+        _main_peak_kb(python_child, "lattice", "gen", "--d", "4", "--n", str(2**20), "--out", str(out),
                       OPENBLAS_NUM_THREADS=threads)
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
@@ -220,11 +211,11 @@ def test_solve_writes_snapshot(tmp_path, capsys):
 
 
 def test_solve_reports_fft_pairs(tmp_path, capsys):
-    """Strang runs two potential stages per step: 50 steps are 100 FFT pairs."""
+    """Strang runs two potential stages per step: 50 steps are 100 FFT pairs, at n = 64 on one thread."""
     lat = write_lattice(tmp_path)
     assert main(["solve", "--lattice", lat, "--scheme", "strang", "--steps", "50",
                  "--cache-dir", str(tmp_path / "c"), "--out", str(tmp_path / "state.bin")]) == 0
-    assert "(100 FFT pairs)" in capsys.readouterr().out
+    assert "(100 FFT pairs), workers = 1," in capsys.readouterr().out
 
 
 def test_converge_with_config_and_overrides(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import math
+import os
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -7,6 +10,7 @@ from rank1tdse import antialias, operators
 from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import (
     POTENTIAL_KINDS,
+    PotentialField,
     kinetic_apply,
     kinetic_stage,
     make_gaussian,
@@ -108,18 +112,21 @@ def test_kinetic_preserves_norm(small):
 
 def test_kinetic_stage_blocks_round_as_one_product(monkeypatch):
     """Any block of two or more residues gives the bits of one in-place product over
-    the whole vector.  With this seed the last product, taken alone in place,
-    rounds differently, so a one-residue tail block would show."""
+    the whole vector, on one thread or with the blocks dealt to three.  With this seed
+    the last product, taken alone in place, rounds differently, so a one-residue tail
+    block would show."""
     rng = np.random.default_rng(0)
     n = 64
     coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     table, index = np.exp(1j * rng.standard_normal(40)), rng.integers(0, 40, n)
     want = coeffs.copy()
     want *= table[index]
-    for block in range(2, n + 2):
-        monkeypatch.setattr(operators, "_BLOCK", block)
-        got = kinetic_stage(coeffs.copy(), table, index)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), block
+    for workers in (1, 3):
+        monkeypatch.setattr(operators, "stage_workers", lambda n: workers)
+        for block in range(2, n + 2):
+            monkeypatch.setattr(operators, "_BLOCK", block)
+            got = kinetic_stage(coeffs.copy(), table, index)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (workers, block)
 
 
 def _custom_with_zeros(x):
@@ -152,6 +159,46 @@ def test_potential_phases_bit_identical_to_complex_product(lat):
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (pf.kind, b, dt, eps)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", [2**16, 2**20])
+def test_potential_phases_blocked_build_bit_identical(n, workers, monkeypatch):
+    """Built a row block at a time from a blocked read of the values, on one thread or
+    three, the phases carry the complex product's bits, signed zeros included."""
+    monkeypatch.setattr(operators, "stage_workers", lambda n: workers)
+    rng = np.random.default_rng(n)
+    values = np.where(rng.random(n) < 0.1, 0.0, rng.standard_normal(n))
+    pf = PotentialField(values, "custom", Rank1Lattice(1, n, (1,)))
+    for b, dt, eps in ((0.5, 0.01, 1.0), (-0.155248405110362, 1 / 2048, 0.3)):
+        want = np.exp(-1j * (b * dt / eps) * values)[_stage_order(n)]
+        assert np.array_equal(pf.phases(b, dt, eps).view(np.uint64), want.view(np.uint64)), (b, dt, eps)
+
+
+# Runs blocks on both pool threads, forks, and exits 0 once the forked child has done the same.
+_FORK_CHILD = """
+import os, time
+from rank1tdse import operators
+operators._deal(lambda blocks: time.sleep(0.2), range(2), 2)
+time.sleep(0.2)  # both threads idle, waiting for work
+pid = os.fork()
+if pid == 0:
+    operators._deal(lambda blocks: None, range(2), 2)
+    os._exit(0)
+for _ in range(200):
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        raise SystemExit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, 9)
+raise SystemExit("the forked child did not finish in 10 s")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_gets_a_pool_of_its_own(python_child):
+    """A child forked after the pool has run must not wait on the parent's threads, which it lacks."""
+    python_child(_FORK_CHILD, timeout=60)
+
+
 def _random_pair_inputs(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n), np.exp(-1j * rng.standard_normal(n))
@@ -165,6 +212,53 @@ def test_four_step_pair_matches_1d_pair(n):
     want = scipy.fft.fft(scipy.fft.ifft(coeffs) * phases)
     got = operators.potential_stage(n)(coeffs.copy(), phases[_stage_order(n)])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _four_step_reference(coeffs, phases):
+    """The four-step pair on one thread, a block of rows at a time, each block's twiddle
+    formed from its own copy of the tables (the loop version of ``potential_stage``)."""
+    n = coeffs.size
+    m1, m2 = operators.four_step_split(n)
+    rows = max(operators._BLOCK // m1, math.isqrt(m2))
+    lo, hi = (np.exp((2j * np.pi / n) * (np.outer(j, range(m1)) % n)) for j in (range(rows), range(0, m2, rows)))
+    c, p = coeffs.reshape(m2, m1), phases.reshape(m2, m1)
+    scipy.fft.ifft(c, axis=0, overwrite_x=True)
+    for r, h in zip(range(0, m2, rows), hi):
+        block, twiddle = c[r:r + rows], lo[:m2 - r] * h
+        block *= twiddle
+        scipy.fft.ifft(block, axis=1, overwrite_x=True)
+        block *= p[r:r + rows]
+        scipy.fft.fft(block, axis=1, overwrite_x=True)
+        block *= np.conjugate(twiddle)
+    return scipy.fft.fft(c, axis=0, overwrite_x=True).reshape(-1)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", [2**15, 2**16, 2**21])
+def test_four_step_pair_shares_its_tables_and_keeps_its_bits(n, workers, monkeypatch):
+    """Every ``potential_stage(n)`` after the first reuses the read-only twiddle tables, and the
+    pair, on one thread or with its row blocks dealt to three, gives the reference's bits
+    (2^21: m2 = 2 m1, with a partial last block of rows)."""
+    monkeypatch.setattr(operators, "stage_workers", lambda n: workers)
+    coeffs, phases = _random_pair_inputs(n)
+    want = _four_step_reference(coeffs.copy(), phases)
+    first = operators.potential_stage(n)
+    hits = operators._twiddles.cache_info().hits
+    second = operators.potential_stage(n)
+    assert operators._twiddles.cache_info().hits == hits + 1
+    assert not any(table.flags.writeable for table in operators._twiddles(n))
+    for pair in (first, second, first):
+        assert np.array_equal(pair(coeffs.copy(), phases).view(np.uint64), want.view(np.uint64))
+
+
+def test_potential_apply_keeps_its_bits_with_shared_tables():
+    """Repeated ``potential_apply`` calls on paper-d2 (n = 2^16) give the reference pair's bits."""
+    lat = load_lattice("paper-d2")
+    st, pf = make_gaussian(antialias.build(lat)), make_potential("smooth_v1", lat)
+    want = _four_step_reference(st.coeffs.copy(), np.exp(-1j * (0.5 * 0.01) * pf.values)[_stage_order(lat.n)])
+    for _ in range(2):
+        out = potential_apply(st, pf, 0.5, 0.01, 1.0)
+        assert np.array_equal(out.coeffs.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [2**13, 65537, 3 * 2**14])

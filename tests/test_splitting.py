@@ -1,3 +1,5 @@
+import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -242,12 +244,73 @@ def test_evolve_equals_stage_composition_across_blocks(setup, sch, block, monkey
 
 
 def test_evolve_counts_fft_pairs(setup):
-    """One inverse/forward pair per stage with a nonzero b, per step."""
+    """One inverse/forward pair per stage with a nonzero b, per step; n = 64 runs on one thread."""
     s = setup
     _, rec = evolve(s["st"], scheme("s17odr8a"), s["kt"], s["pf"], 3, 0.01, 1.0)
     assert rec.fft_pairs == 3 * 18
+    assert rec.workers == 1
     _, rec = evolve(s["st"], _UNEVEN, s["kt"], s["pf"], 2, 0.01, 1.0)
     assert rec.fft_pairs == 2 * 3
+
+
+@pytest.mark.parametrize("sch", _COMPOSITION_SCHEMES, ids=lambda sch: sch.name)
+def test_evolve_bits_do_not_depend_on_the_worker_count(setup_four_step, sch, monkeypatch):
+    """paper-d2 (n = 2^16, one thread) gives the same bits with the threshold lowered to 2^16
+    on a process that reports three CPUs, so that every stage's blocks are dealt to three threads."""
+    s, outs = setup_four_step, []
+    for workers in (1, 3):
+        if workers > 1:
+            monkeypatch.setattr(operators, "_PARALLEL_MIN", s["aa"].n)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        out, rec = evolve(s["st"], sch, s["kt"], s["pf"], 2, 0.05, 1.0)
+        assert rec.workers == workers
+        outs.append(out.coeffs.view(np.uint64))
+    assert np.array_equal(*outs)
+
+
+# Under the CPUs set before it imports rank1tdse: SHA-256s of one evolve step per scheme on
+# d = 2 CBC lattices at n = _PARALLEL_MIN and twice that (one of the two an odd power of two,
+# m1 != m2), of a ``solve --out`` snapshot at _PARALLEL_MIN, and the thread counts reported.
+_HASH_CHILD = """
+import hashlib, json, sys
+from pathlib import Path
+from rank1tdse import antialias, operators
+from rank1tdse.cli import main
+from rank1tdse.lattice import cbc_construct
+from rank1tdse.splitting import SCHEME_NAMES, evolve, scheme
+work, out = Path(sys.argv[1]), {"workers": set()}
+for n in (2 * operators._PARALLEL_MIN, operators._PARALLEL_MIN):
+    lat = cbc_construct(2, n)
+    aa = antialias.build(lat)
+    kt, pf, st = operators.make_kinetic(aa), operators.make_potential("smooth_v1", lat), operators.make_gaussian(aa)
+    for name in SCHEME_NAMES:
+        final, rec = evolve(st, scheme(name), kt, pf, 1, 0.01, 1.0)
+        out[f"{n}-{name}"] = hashlib.sha256(final.coeffs).hexdigest()
+        out["workers"].add(rec.workers)
+(work / "lat.json").write_text(json.dumps(lat.to_dict()))
+assert main(["solve", "--lattice", str(work / "lat.json"), "--steps", "2", "--cache-dir", str(work / "c"),
+             "--out", str(work / "state.bin")]) == 0
+out["solve"] = hashlib.sha256((work / "state.bin").read_bytes()).hexdigest()
+print(json.dumps(dict(out, workers=sorted(out["workers"]))))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="this process has one CPU, or no CPU affinity to set")
+def test_evolve_and_solve_bits_do_not_depend_on_the_cpu_count(tmp_path, python_child):
+    """A child on one CPU and a child on every CPU of this process hash the same bytes.
+
+    Both run BLAS on one thread: ``make_gaussian``'s norm is a BLAS dot, whose bits follow
+    the BLAS thread count, and OpenBLAS takes its default count from the CPUs."""
+    cpus = sorted(os.sched_getaffinity(0))
+    docs = []
+    for run in ([cpus[0]], cpus):
+        (tmp_path / str(len(run))).mkdir()
+        stdout = python_child(_HASH_CHILD, str(tmp_path / str(len(run))), cpus=run, OPENBLAS_NUM_THREADS="1")
+        docs.append(json.loads(stdout.splitlines()[-1]))
+    assert docs[0].pop("workers") == [1]
+    assert docs[1].pop("workers") == [len(cpus)]
+    assert docs[0] == docs[1]
 
 
 @pytest.fixture(scope="module")
