@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import Rank1Lattice
+from .lattice import _BLOCK, Rank1Lattice, _blockwise
 
 __all__ = [
     "AntiAliasingSet",
@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 _MAGIC = b"AASET1"
-
-#: Residues per block of a min-plus level: a block of keys stays in cache across all 2R + 1 shifts.
-_BLOCK = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -81,10 +78,13 @@ def _zhash(lattice: Rank1Lattice) -> int:
 
 
 def _norms2(freq: np.ndarray) -> np.ndarray:
-    """Squared l2 norms of the rows of ``freq``, accumulated column by column in int64."""
+    """Squared l2 norms of the rows of ``freq``, accumulated column by column in int64, by blocks of rows."""
     norms2 = np.zeros(len(freq), dtype=np.int64)
-    for col in freq.T:
-        norms2 += np.square(col, dtype=np.int64)
+
+    def accumulate(lo: int, hi: int, square: np.ndarray) -> None:
+        for col in freq[lo:hi].T:
+            norms2[lo:hi] += np.square(col, out=square, dtype=np.int64)
+    _blockwise(len(freq), accumulate, np.int64)
     return norms2
 
 
@@ -106,9 +106,9 @@ def _min_plus(lattice: Rank1Lattice, radius: int, freq: np.ndarray, norms2: np.n
     box reaches no vector) and level k's chosen ``t`` at residue ``r`` into ``freq[r, k]``.
 
     A level is minimized over packed keys ``norm (2R + 1) + t + R``: the least key is the
-    least norm and, among equal norms, the smallest t.  It runs one block of ``_BLOCK``
-    residues at a time through all 2R + 1 shifts, so the block stays in cache; then each key
-    is split into t, kept in ``freq``, and ``norm (2R + 1)``, the next level's input.
+    least norm and, among equal norms, the smallest t.  Each block of ``_BLOCK`` residues runs
+    through all 2R + 1 shifts, so it stays in cache, on one of ``stage_workers(n)`` threads; then
+    each key is split into t, kept in ``freq``, and ``norm (2R + 1)``, the next level's input.
     """
     n, d, z = lattice.n, lattice.d, lattice.z
     width = 2 * radius + 1
@@ -121,24 +121,25 @@ def _min_plus(lattice: Rank1Lattice, radius: int, freq: np.ndarray, norms2: np.n
     g = np.full(n, width * (d * radius * radius + 1), dtype=dtype)
     g[res] = t[first] ** 2 * width
     freq[res, -1] = t[first]
-    best, cand = np.empty_like(g), np.empty(min(_BLOCK, n), dtype=dtype)
+    best = np.empty_like(g)
     for k in range(d - 2, -1, -1):
         # best[r] = min_t g[r - t z_k mod n] + t^2 (2R + 1) + t + R, one block of r at a time
-        for lo in range(0, n, _BLOCK):
-            blk = best[lo:lo + _BLOCK]
-            tmp = cand[:len(blk)]
+        def level(lo: int, hi: int, tmp: np.ndarray) -> None:
+            blk = best[lo:hi]
             blk.fill(np.iinfo(dtype).max)
             for tk in range(-radius, radius + 1):
                 start = (lo - tk * z[k]) % n  # the window g[start:start + len(blk)], wrapped past n
                 head = min(len(blk), n - start)
                 key = tk * tk * width + tk + radius
                 np.add(g[start:start + head], key, out=tmp[:head])
-                np.add(g[:len(blk) - head], key, out=tmp[head:])
+                if head < len(blk):
+                    np.add(g[:len(blk) - head], key, out=tmp[head:])
                 np.minimum(blk, tmp, out=blk)
             np.remainder(blk, width, out=tmp)  # t + R; blk keeps the norm times 2R + 1
             blk -= tmp
             tmp -= radius
-            freq[lo:lo + len(blk), k] = tmp
+            freq[lo:hi, k] = tmp
+        _blockwise(n, level, dtype, block=_BLOCK)
         g, best = best, g
     np.floor_divide(g, width, out=norms2)
 
@@ -174,13 +175,18 @@ def build(lattice: Rank1Lattice, budget: int = 1 << 36) -> AntiAliasingSet:
         else:
             break
     # read the vectors back: h_k is level k's choice at xi - (h_1 z_1 + ... + h_{k-1} z_{k-1})
-    res, term = np.arange(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    res = np.arange(n, dtype=np.int64)
     for k in range(1, d):
-        np.multiply(freq[:, k - 1], lattice.z[k - 1], out=term, dtype=np.int64)
-        res -= term
-        res %= n
-        freq[:, k] = freq[res, k]
-    del res, term  # before the set's own residue check allocates its two
+        chosen = freq[:, k].copy()  # level k's choices, which the blocks overwrite
+
+        def read_back(lo: int, hi: int, term: np.ndarray) -> None:
+            np.multiply(freq[lo:hi, k - 1], lattice.z[k - 1], out=term, dtype=np.int64)
+            blk = res[lo:hi]
+            blk -= term
+            blk %= n
+            freq[lo:hi, k] = chosen[blk]
+        _blockwise(n, read_back, np.int64, block=_BLOCK)
+    del res  # before the set's own residue check
     return AntiAliasingSet(lattice, freq, norms2)
 
 

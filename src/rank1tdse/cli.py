@@ -13,7 +13,7 @@ import time
 from dataclasses import fields
 
 from . import antialias, diagnostics, experiments, selftest as _selftest
-from .lattice import PRESETS, Rank1Lattice, cbc_construct, load_lattice
+from .lattice import PRESETS, Rank1Lattice, cbc_construct, load_lattice, stage_workers
 from .operators import make_gaussian, make_kinetic, make_potential
 from .splitting import SCHEME_NAMES, evolve, scheme
 from .transform import save_snapshot
@@ -79,7 +79,8 @@ def _cmd_aaset(args) -> int:
         aa, action = antialias.cached_build(lat, cache_dir), "build"
     elapsed = time.perf_counter() - t0
     print(f"cache: {path}")
-    print(f"n = {lat.n}, d = {lat.d}, max_norm2 = {aa.max_norm2()}, {action} {elapsed:.2f}s")
+    print(f"n = {lat.n}, d = {lat.d}, max_norm2 = {aa.max_norm2()}, workers = {stage_workers(lat.n)}, "
+          f"{action} {elapsed:.2f}s")
     return 0
 
 

@@ -8,10 +8,14 @@ only when a function is evaluated at the points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.fft
@@ -32,6 +36,39 @@ PRESETS: dict[str, tuple[int, int, tuple[int, ...]]] = {
         (1, 6422017, 7370323, 2765761, 8055041, 2959639, 7161203, 4074015),
     ),
 }
+
+#: Rows per block of a set-up pass: a multiple of every SIMD width, so a blocked ufunc rounds as a whole one.
+_BLOCK = 1 << 16
+_PARALLEL_MIN = 1 << 20  # threads from n = 2^20: two lost at 2^16, and in one session of three up to 2^19
+_pool = functools.lru_cache(maxsize=1)(ThreadPoolExecutor)  # one pool of ``workers`` threads, made when first used
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def stage_workers(n: int) -> int:
+    """Threads the passes of length ``n`` run on: every CPU of the process from ``_PARALLEL_MIN``, else 1
+    (and 1 where the platform reports no CPU affinity)."""
+    return len(os.sched_getaffinity(0)) if n >= _PARALLEL_MIN and hasattr(os, "sched_getaffinity") else 1
+
+
+def _deal(task: Callable[[range], None], blocks: range, workers: int) -> None:
+    """``task(blocks[i::workers])`` for each of ``workers`` pool threads; one worker is this thread."""
+    if workers == 1:
+        return task(blocks)
+    list(_pool(workers).map(task, (blocks[i::workers] for i in range(workers))))  # raises a task's error
+
+
+def _blockwise(n: int, task: Callable[..., None], *scratch: type, block: int | None = None) -> None:
+    """``task(lo, hi, *bufs)`` per block [lo, hi) of ``block`` (default ``_BLOCK``) rows of range(n) on
+    ``stage_workers(n)`` threads; ``bufs`` are the thread's own buffers of the ``scratch`` dtypes."""
+    block, workers = block or _BLOCK, stage_workers(n)
+    bufs = [np.empty((workers, min(block, n)), dtype) for dtype in scratch]  # here, not in the pool's arenas
+
+    def run(starts: range) -> None:
+        for lo in starts:  # block lo // block is thread (lo // block) % workers's
+            hi = min(lo + block, n)
+            task(lo, hi, *(buf[lo // block % workers, :hi - lo] for buf in bufs))
+    _deal(run, range(0, n, block), workers)
 
 
 @dataclass(frozen=True)
@@ -64,9 +101,9 @@ class Rank1Lattice:
             raise IndexError(f"point index {k} outside [0, {self.n})")
         return tuple((zj * k) % self.n for zj in self.z)
 
-    def numerator_column(self, j: int) -> np.ndarray:
-        """Numerators ``k z_j mod n``, k = 0..n-1, int64: a permutation of 0..n-1 (z_j is a unit)."""
-        col = np.arange(self.n, dtype=np.int64)  # in place: one n-vector alive, not two
+    def numerator_column(self, j: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Numerators ``k z_j mod n``, k = lo..hi-1 (default 0..n-1), int64; all n are a permutation of 0..n-1."""
+        col = np.arange(lo, self.n if hi is None else hi, dtype=np.int64)  # in place: one vector alive, not two
         col *= self.z[j]
         col %= self.n
         return col
@@ -80,14 +117,18 @@ class Rank1Lattice:
         return self.numerators() / float(self.n)
 
     def residues(self, h) -> np.ndarray:
-        """``h . z mod n`` for a (..., d) array of frequency vectors, accumulated in int64."""
+        """``h . z mod n`` for a (..., d) array of frequency vectors, accumulated in int64, by blocks of rows."""
         h = np.asarray(h)
         res = np.zeros(h.shape[:-1], dtype=np.int64)
-        term = np.empty_like(res)
-        for j, zj in enumerate(self.z):
-            np.multiply(h[..., j], zj, out=term, dtype=np.int64)
-            res += term
-            res %= self.n
+        rows, out = h.reshape(-1, h.shape[-1]), res.reshape(-1)
+
+        def accumulate(lo: int, hi: int, term: np.ndarray) -> None:
+            block = out[lo:hi]
+            for j, zj in enumerate(self.z):
+                np.multiply(rows[lo:hi, j], zj, out=term, dtype=np.int64)
+                block += term
+                block %= self.n
+        _blockwise(len(rows), accumulate, np.int64)
         return res
 
     def in_dual(self, h) -> bool:

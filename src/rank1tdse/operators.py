@@ -13,10 +13,10 @@ built in their own result, in the stage's order, without a complex temporary.  F
 n = 2^20 the blocks of all three go to a thread per CPU, with the bits of one thread.
 
 The named potentials and the Gaussian packet are sums or products of one 1-D
-factor per coordinate.  The factor is evaluated on one coordinate column
-(k z_j mod n)/n at a time and combined into one n-vector accumulator, so
-set-up holds a few n-vectors at any d.  Only a custom ``func`` gets the
-(n, d) coordinates.
+factor per coordinate.  Per block of points, the factor is evaluated on one
+coordinate column (k z_j mod n)/n at a time and combined into the result, so
+set-up holds the result and block buffers at any d (from n = 2^20 on a thread
+per CPU).  Only a custom ``func`` gets the (n, d) coordinates.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +31,7 @@ import numpy as np
 import scipy.fft
 
 from .antialias import AntiAliasingSet
-from .lattice import Rank1Lattice
+from .lattice import Rank1Lattice, _blockwise, _deal, stage_workers
 from .transform import SpectralState
 
 __all__ = [
@@ -124,23 +122,6 @@ def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
 #: Residues per block of a kinetic stage: 2^14 complex values, 256 KiB.
 _BLOCK = 1 << 14
 _FOUR_STEP_MIN = 1 << 15  # the four-step pair from n = 2^15, timed on powers of two (at 2^13 no faster)
-_PARALLEL_MIN = 1 << 20  # threads from n = 2^20: two lost at 2^16, and in one session of three up to 2^19
-_pool = functools.lru_cache(maxsize=1)(ThreadPoolExecutor)  # one pool of ``workers`` threads, made when first used
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def stage_workers(n: int) -> int:
-    """Threads the stages of length ``n`` run on: every CPU of the process from ``_PARALLEL_MIN``, else 1
-    (and 1 where the platform reports no CPU affinity)."""
-    return len(os.sched_getaffinity(0)) if n >= _PARALLEL_MIN and hasattr(os, "sched_getaffinity") else 1
-
-
-def _deal(task: Callable[[range], None], blocks: range, workers: int) -> None:
-    """``task(blocks[i::workers])`` for each of ``workers`` pool threads; one worker is this thread."""
-    if workers == 1:
-        return task(blocks)
-    list(_pool(workers).map(task, (blocks[i::workers] for i in range(workers))))  # raises a task's error
 
 
 def kinetic_stage(coeffs: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -258,15 +239,20 @@ POTENTIAL_KINDS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], np.ufunc]] 
 
 def _tabulate(lattice: Rank1Lattice, factor: Callable[[np.ndarray], np.ndarray],
               combine: np.ufunc) -> np.ndarray:
-    """``combine_j factor(x_j)`` at every lattice point, in the order j = 0..d-1.
+    """``combine_j factor(x_j)`` at every lattice point, in the order j = 0..d-1, by blocks of points.
 
     The values equal numpy's row product over the (n, d) coordinates, and its
     row sum for d <= 7 (from eight terms on numpy sums in pairs: a few ulp off).
     """
     # the result first, below the temporaries; 1 * f and 0 + f are f (no factor is -0.0)
-    acc = np.full(lattice.n, float(combine.identity))
-    for j in range(lattice.d):
-        combine(acc, factor(lattice.numerator_column(j) / float(lattice.n)), out=acc)
+    n, acc = lattice.n, np.empty(lattice.n)
+
+    def fill(lo: int, hi: int, x: np.ndarray) -> None:
+        block = acc[lo:hi]
+        block.fill(combine.identity)
+        for j in range(lattice.d):
+            combine(block, factor(np.divide(lattice.numerator_column(j, lo, hi), float(n), out=x)), out=block)
+    _blockwise(n, fill, np.float64)
     return acc
 
 
@@ -308,11 +294,15 @@ def make_gaussian(aa: AntiAliasingSet, epsilon: float = 1.0) -> SpectralState:
         raise ValueError("epsilon must be positive")
     lat = aa.lattice
     coeffs = np.empty(lat.n, dtype=np.complex128)  # the result first: the temporaries lie above it
-    vals = _tabulate(lat, _centered_square, np.add)
-    vals /= -epsilon
-    np.exp(vals, out=vals)
-    vals *= (2.0 / (np.pi * epsilon)) ** (lat.d / 4.0)
-    np.copyto(coeffs, vals)
+    vals, scale = _tabulate(lat, _centered_square, np.add), (2.0 / (np.pi * epsilon)) ** (lat.d / 4.0)
+
+    def sample(lo: int, hi: int) -> None:
+        block = vals[lo:hi]
+        block /= -epsilon
+        np.exp(block, out=block)
+        block *= scale
+        coeffs[lo:hi] = block
+    _blockwise(lat.n, sample)
     del vals  # before the FFT, which then reuses its memory
     coeffs = scipy.fft.fft(coeffs, overwrite_x=True)
     coeffs /= lat.n

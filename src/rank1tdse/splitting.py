@@ -12,7 +12,7 @@ most n) per distinct nonzero ``a``.  The stages run in place on one evolving
 copy of the state: a kinetic stage gathers its phases block by block, and a
 potential stage runs its FFT pair, with one n-vector of pocketfft scratch on
 the 1-D pair only (see ``SplittingScheme.plan_vectors``).  Both, and the phase
-build, run on ``EvolutionRecord.workers`` = ``operators.stage_workers(n)`` threads.
+build, run on ``EvolutionRecord.workers`` = ``lattice.stage_workers(n)`` threads.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import KineticTable, PotentialField, four_step_split, kinetic_stage, potential_stage, stage_workers
+from .lattice import stage_workers
+from .operators import KineticTable, PotentialField, four_step_split, kinetic_stage, potential_stage
 from .transform import SpectralState, vector_norm
 
 __all__ = [
@@ -75,7 +76,7 @@ class EvolutionRecord:
     wall_time: float
     final_norm: float
     fft_pairs: int  # inverse/forward transform pairs run: m * (stages with b != 0)
-    workers: int  # threads the stages ran on: operators.stage_workers(n)
+    workers: int  # threads the stages ran on: lattice.stage_workers(n)
 
 
 # Sixth-order "s9odr6a" table: entries j=1..5 shown, the rest by symmetry

@@ -177,7 +177,7 @@ def test_aaset_build_writes_cache(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(["aaset", "build", "--lattice", lat, "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
-    assert "max_norm2" in out
+    assert "max_norm2" in out and ", workers = 1, build " in out  # n = 64: set-up on one thread
     files = list(cache.glob("aaset_*.bin"))
     assert len(files) == 1
     loaded = antialias.load_cache(files[0], Rank1Lattice(2, 64, (1, 19)))

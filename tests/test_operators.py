@@ -6,7 +6,7 @@ import pytest
 import scipy.fft
 from scipy.linalg import expm
 
-from rank1tdse import antialias, operators
+from rank1tdse import antialias, lattice, operators
 from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import (
     POTENTIAL_KINDS,
@@ -176,12 +176,12 @@ def test_potential_phases_blocked_build_bit_identical(n, workers, monkeypatch):
 # Runs blocks on both pool threads, forks, and exits 0 once the forked child has done the same.
 _FORK_CHILD = """
 import os, time
-from rank1tdse import operators
-operators._deal(lambda blocks: time.sleep(0.2), range(2), 2)
+from rank1tdse import lattice
+lattice._deal(lambda blocks: time.sleep(0.2), range(2), 2)
 time.sleep(0.2)  # both threads idle, waiting for work
 pid = os.fork()
 if pid == 0:
-    operators._deal(lambda blocks: None, range(2), 2)
+    lattice._deal(lambda blocks: None, range(2), 2)
     os._exit(0)
 for _ in range(200):
     done, status = os.waitpid(pid, os.WNOHANG)
@@ -372,9 +372,10 @@ def test_gaussian_tail_mass_paper_scale():
 
 
 #: (d, n, z), z None meaning ``cbc_construct(d, n)``; (3, 2^13) is the study-d3
-#: lattice and (2, 2^13, (1, 100135)) the paper-d2 vector at a smaller n.
+#: lattice, (2, 2^13, (1, 100135)) the paper-d2 vector at a smaller n, and (3, 2^16 + 1)
+#: ends in a block of one point.
 TABULATION_LATTICES = [(1, 2**10, (1,))] + [(d, 2**10, None) for d in range(2, 8)] + [
-    (3, 2**13, None), (2, 2**13, (1, 100135)), (5, 1000, (1, 3, 7, 11, 13))]
+    (3, 2**13, None), (2, 2**13, (1, 100135)), (5, 1000, (1, 3, 7, 11, 13)), (3, 2**16 + 1, None)]
 
 
 @pytest.mark.parametrize("d, n, z", TABULATION_LATTICES)
@@ -387,6 +388,25 @@ def test_tabulation_equals_row_formulas(d, n, z):
     aa = antialias.build(lat)
     for eps in (1.0, 0.3):
         assert np.array_equal(make_gaussian(aa, eps).coeffs, _row_gaussian(aa, eps))
+
+
+def test_setup_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    """A d = 3 CBC lattice at n = 2^18 + 3, four full blocks and a last one of three points, gives
+    the same set, norms, residues, potentials and Gaussian with the threshold lowered to n on a
+    process that reports three CPUs, so that every set-up pass is dealt to three threads."""
+    lat, outs = cbc_construct(3, 2**18 + 3), []
+    assert lat.n % lattice._BLOCK == 3
+    for workers in (1, 3):
+        if workers > 1:
+            monkeypatch.setattr(lattice, "_PARALLEL_MIN", lat.n)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        assert lattice.stage_workers(lat.n) == workers
+        aa = antialias.build(lat)
+        outs.append([aa.freq, aa.norms2, antialias._norms2(aa.freq), lat.residues(aa.freq)]
+                    + [make_potential(kind, lat).values.view(np.uint64) for kind in POTENTIAL_KINDS]
+                    + [make_gaussian(aa, eps).coeffs.view(np.uint64) for eps in (1.0, 0.3)])
+    for one, three in zip(*outs):
+        assert np.array_equal(one, three)
 
 
 @pytest.mark.parametrize("d", [8, 9])

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rank1tdse import antialias, operators
+from rank1tdse import antialias, lattice, operators
 from rank1tdse.diagnostics import dense_multiplication_operator
 from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import (
+    PotentialField,
     kinetic_apply,
     make_gaussian,
     make_kinetic,
@@ -260,7 +261,7 @@ def test_evolve_bits_do_not_depend_on_the_worker_count(setup_four_step, sch, mon
     s, outs = setup_four_step, []
     for workers in (1, 3):
         if workers > 1:
-            monkeypatch.setattr(operators, "_PARALLEL_MIN", s["aa"].n)
+            monkeypatch.setattr(lattice, "_PARALLEL_MIN", s["aa"].n)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
         out, rec = evolve(s["st"], sch, s["kt"], s["pf"], 2, 0.05, 1.0)
         assert rec.workers == workers
@@ -268,21 +269,37 @@ def test_evolve_bits_do_not_depend_on_the_worker_count(setup_four_step, sch, mon
     assert np.array_equal(*outs)
 
 
-# Under the CPUs set before it imports rank1tdse: SHA-256s of one evolve step per scheme on
-# d = 2 CBC lattices at n = _PARALLEL_MIN and twice that (one of the two an odd power of two,
-# m1 != m2), of a ``solve --out`` snapshot at _PARALLEL_MIN, and the thread counts reported.
+def test_evolve_stops_at_the_first_non_finite_step(setup):
+    """A NaN in the potential makes every coefficient NaN in the first step, and ``evolve`` says so."""
+    s = setup
+    values = s["pf"].values.copy()
+    values[5] = np.nan
+    pf = PotentialField(values, "custom", s["lat"])
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="after step 1 of 3"):
+        evolve(s["st"], scheme("strang"), s["kt"], pf, 3, 0.01, 1.0)
+
+
+# Under the CPUs set before it imports rank1tdse: SHA-256s of the set, of both potentials, of the
+# Gaussian and of one evolve step per scheme on d = 2 CBC lattices at n = _PARALLEL_MIN and twice
+# that (one of the two an odd power of two, m1 != m2), of a ``solve --out`` snapshot at
+# _PARALLEL_MIN, and the thread counts reported.
 _HASH_CHILD = """
 import hashlib, json, sys
 from pathlib import Path
-from rank1tdse import antialias, operators
+from rank1tdse import antialias, lattice, operators
 from rank1tdse.cli import main
 from rank1tdse.lattice import cbc_construct
 from rank1tdse.splitting import SCHEME_NAMES, evolve, scheme
 work, out = Path(sys.argv[1]), {"workers": set()}
-for n in (2 * operators._PARALLEL_MIN, operators._PARALLEL_MIN):
+for n in (2 * lattice._PARALLEL_MIN, lattice._PARALLEL_MIN):
     lat = cbc_construct(2, n)
     aa = antialias.build(lat)
     kt, pf, st = operators.make_kinetic(aa), operators.make_potential("smooth_v1", lat), operators.make_gaussian(aa)
+    out[f"{n}-set"] = aa.sha256()
+    out[f"{n}-norms2"] = hashlib.sha256(aa.norms2).hexdigest()
+    for kind in operators.POTENTIAL_KINDS:
+        out[f"{n}-{kind}"] = hashlib.sha256(operators.make_potential(kind, lat).values).hexdigest()
+    out[f"{n}-gaussian"] = hashlib.sha256(st.coeffs).hexdigest()
     for name in SCHEME_NAMES:
         final, rec = evolve(st, scheme(name), kt, pf, 1, 0.01, 1.0)
         out[f"{n}-{name}"] = hashlib.sha256(final.coeffs).hexdigest()
