@@ -50,10 +50,7 @@ def _step_counts(text: str) -> list[int]:
 
 def _cmd_lattice(args) -> int:
     if args.action == "gen":
-        try:
-            lat = cbc_construct(args.d, args.n)
-        except ValueError as e:
-            raise SystemExit(f"lattice gen: {e}") from None
+        lat = cbc_construct(args.d, args.n)
     else:
         lat = _resolve_lattice(args)
     doc = lat.to_dict()
@@ -125,10 +122,7 @@ def _cmd_diagnose(args) -> int:
     lat = _resolve_lattice(args)
     cache_dir = args.cache_dir or experiments.default_cache_dir()
     if args.check == "circulant":
-        try:
-            diagnostics.check_circulant_size(lat.n)
-        except ValueError as e:
-            raise SystemExit(str(e)) from None
+        diagnostics.check_circulant_size(lat.n)
         aa = antialias.cached_build(lat, cache_dir)
         pf = make_potential("smooth_v1", lat)
         dev = diagnostics.circulant_check(aa, pf)
@@ -214,7 +208,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_selftest)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as e:  # bad input the library refused: one line, not a traceback
+        raise SystemExit(f"{args.command}: {e}") from None
 
 
 if __name__ == "__main__":

@@ -51,24 +51,21 @@ def stage_workers(n: int) -> int:
     return len(os.sched_getaffinity(0)) if n >= _PARALLEL_MIN and hasattr(os, "sched_getaffinity") else 1
 
 
-def _deal(task: Callable[[range], None], blocks: range, workers: int) -> None:
-    """``task(blocks[i::workers])`` for each of ``workers`` pool threads; one worker is this thread."""
-    if workers == 1:
-        return task(blocks)
-    list(_pool(workers).map(task, (blocks[i::workers] for i in range(workers))))  # raises a task's error
-
-
 def _blockwise(n: int, task: Callable[..., None], *scratch: type, block: int | None = None) -> None:
-    """``task(lo, hi, *bufs)`` per block [lo, hi) of ``block`` (default ``_BLOCK``) rows of range(n) on
-    ``stage_workers(n)`` threads; ``bufs`` are the thread's own buffers of the ``scratch`` dtypes."""
+    """``task(lo, hi, *bufs)`` per block [lo, hi) of ``block`` (default ``_BLOCK``) rows of range(n),
+    block i on thread i % ``stage_workers(n)`` (with one, this thread); ``bufs`` are the thread's own
+    buffers of the ``scratch`` dtypes.  A last block of one row joins the block before it: numpy
+    multiplies a one-element array in place through its scalar loop, which rounds differently."""
     block, workers = block or _BLOCK, stage_workers(n)
-    bufs = [np.empty((workers, min(block, n)), dtype) for dtype in scratch]  # here, not in the pool's arenas
+    bufs = [np.empty((workers, min(block + 1, n)), dtype) for dtype in scratch]  # here, not in the pool's arenas
 
-    def run(starts: range) -> None:
-        for lo in starts:  # block lo // block is thread (lo // block) % workers's
-            hi = min(lo + block, n)
-            task(lo, hi, *(buf[lo // block % workers, :hi - lo] for buf in bufs))
-    _deal(run, range(0, n, block), workers)
+    def run(i: int) -> None:
+        for lo in range(i * block, n - (n > 1), workers * block):
+            hi = lo + block if n - lo - block > 1 else n
+            task(lo, hi, *(buf[i, :hi - lo] for buf in bufs))
+    if workers == 1:
+        return run(0)
+    list(_pool(workers).map(run, range(workers)))  # raises a task's error
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,11 @@ def load_lattice(source) -> Rank1Lattice:
         with open(source) as fh:
             source = json.load(fh)
     if isinstance(source, dict):
-        return Rank1Lattice(int(source["d"]), int(source["n"]), tuple(int(v) for v in source["z"]))
+        d, n, z = source["d"], source["n"], source["z"]
+        for field, value in [("d", d), ("n", n), *((f"z[{j}]", v) for j, v in enumerate(z))]:
+            if int(value) != value:
+                raise ValueError(f"{field} = {value!r} is not an integer")
+        return Rank1Lattice(int(d), int(n), tuple(int(v) for v in z))
     raise TypeError(f"cannot load lattice from {source!r}")
 
 

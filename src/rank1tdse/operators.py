@@ -9,8 +9,8 @@ Both stages work in place: a kinetic stage multiplies one cache-sized block of
 residues at a time by its gathered phases, and a potential stage runs the FFT
 pair over the state itself (from n = 2^15 a four-step transform whose nodal order is
 transposed), so a stage allocates no complex n-vector.  The potential phases are
-built in their own result, in the stage's order, without a complex temporary.  From
-n = 2^20 the blocks of all three go to a thread per CPU, with the bits of one thread.
+built in their own result, in the stage's order, without a complex temporary.  All
+three run their blocks through ``lattice._blockwise``: from n = 2^20 on a thread per CPU.
 
 The named potentials and the Gaussian packet are sums or products of one 1-D
 factor per coordinate.  Per block of points, the factor is evaluated on one
@@ -31,7 +31,7 @@ import numpy as np
 import scipy.fft
 
 from .antialias import AntiAliasingSet
-from .lattice import Rank1Lattice, _blockwise, _deal, stage_workers
+from .lattice import Rank1Lattice, _blockwise, stage_workers
 from .transform import SpectralState
 
 __all__ = [
@@ -93,12 +93,12 @@ class PotentialField:
         (m1, m2), rows = (split, len(_twiddles(n)[0])) if split else ((1, n), _BLOCK)  # the pair's row blocks
         values, out = self.values.reshape(m1, m2), np.zeros((m2, m1), np.complex128)
 
-        def build(starts: range) -> None:
-            for r in starts:
-                block, arg = out[r:r + rows], np.multiply(values[:, r:r + rows], scale)
-                np.add(arg.T, 0.0, out=block.imag)  # -0.0 -> +0.0 where v = 0, as the complex product gives
-                np.exp(block, out=block)
-        _deal(build, range(0, m2, rows), stage_workers(n))
+        def build(lo: int, hi: int) -> None:
+            r, s = lo // m1, hi // m1
+            block, arg = out[r:s], np.multiply(values[:, r:s], scale)
+            np.add(arg.T, 0.0, out=block.imag)  # -0.0 -> +0.0 where v = 0, as the complex product gives
+            np.exp(block, out=block)
+        _blockwise(n, build, block=rows * m1)
         return out.reshape(-1)
 
     def check_lattice(self, aa: AntiAliasingSet) -> None:
@@ -125,19 +125,11 @@ _FOUR_STEP_MIN = 1 << 15  # the four-step pair from n = 2^15, timed on powers of
 
 
 def kinetic_stage(coeffs: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``coeffs *= table[index]`` in place, one block of residues at a time, on ``stage_workers`` threads.
-
-    A last block of one residue joins the block before it: numpy multiplies a
-    one-element array in place through its scalar loop, which rounds differently.
-    """
-    n = coeffs.size
-
-    def multiply(starts: range) -> None:
-        for lo in starts:
-            hi = lo + _BLOCK if n - lo - _BLOCK > 1 else n
-            block = coeffs[lo:hi]
-            block *= table[index[lo:hi]]
-    _deal(multiply, range(0, max(n - 1, 1), _BLOCK), stage_workers(n))
+    """``coeffs *= table[index]`` in place, one block of residues at a time (``lattice._blockwise``)."""
+    def multiply(lo: int, hi: int) -> None:
+        block = coeffs[lo:hi]
+        block *= table[index[lo:hi]]
+    _blockwise(coeffs.size, multiply, block=_BLOCK)
     return coeffs
 
 
@@ -156,37 +148,29 @@ def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _pair_1d(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    x = scipy.fft.ifft(coeffs, overwrite_x=True)
-    x *= phases
-    return scipy.fft.fft(x, overwrite_x=True)
-
-
-def potential_stage(n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def potential_stage(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Inverse FFT, times ``PotentialField.phases``, forward FFT, in place; four-step on (m2, m1)
-    from ``four_step_split``, a block of rows at a time, row r + l's twiddle ``hi[r] lo[l]``.
-    Blocks go to ``stage_workers(n)`` threads, each with its own buffer, as do the batched passes."""
-    if (split := four_step_split(n)) is None:
-        return _pair_1d
-    (m1, m2), (lo, hi), workers = split, _twiddles(n), stage_workers(n)
-    rows, buffers = len(lo), np.empty((workers, *lo.shape), dtype=lo.dtype)
+    from ``four_step_split``, a block of rows at a time (``lattice._blockwise``), row r + l's twiddle
+    ``hi[r] lo[l]`` in the thread's own buffer, the batched passes on ``stage_workers(n)`` threads."""
+    if (split := four_step_split(coeffs.size)) is None:
+        x = scipy.fft.ifft(coeffs, overwrite_x=True)
+        x *= phases
+        return scipy.fft.fft(x, overwrite_x=True)
+    (m1, m2), (lo, hi), workers = split, _twiddles(coeffs.size), stage_workers(coeffs.size)
+    c, p = coeffs.reshape(m2, m1), phases.reshape(m2, m1)
 
-    def pair(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        c, p = coeffs.reshape(m2, m1), phases.reshape(m2, m1)
-
-        def middle(starts: range) -> None:
-            for r in starts:  # block r // rows is thread (r // rows) % workers's
-                twiddle = np.multiply(lo[:m2 - r], hi[r // rows], out=buffers[r // rows % workers, :m2 - r])
-                block = c[r:r + rows]
-                block *= twiddle
-                scipy.fft.ifft(block, axis=1, overwrite_x=True)
-                block *= p[r:r + rows]
-                scipy.fft.fft(block, axis=1, overwrite_x=True)
-                block *= np.conjugate(twiddle, out=twiddle)
-        scipy.fft.ifft(c, axis=0, overwrite_x=True, workers=workers)
-        _deal(middle, range(0, m2, rows), workers)
-        return scipy.fft.fft(c, axis=0, overwrite_x=True, workers=workers).reshape(-1)
-    return pair
+    def middle(start: int, stop: int, buf: np.ndarray) -> None:
+        r, s = start // m1, stop // m1
+        twiddle = np.multiply(lo[:s - r], hi[r // len(lo)], out=buf.reshape(-1, m1))
+        block = c[r:s]
+        block *= twiddle
+        scipy.fft.ifft(block, axis=1, overwrite_x=True)
+        block *= p[r:s]
+        scipy.fft.fft(block, axis=1, overwrite_x=True)
+        block *= np.conjugate(twiddle, out=twiddle)
+    scipy.fft.ifft(c, axis=0, overwrite_x=True, workers=workers)
+    _blockwise(coeffs.size, middle, lo.dtype, block=lo.size)
+    return scipy.fft.fft(c, axis=0, overwrite_x=True, workers=workers).reshape(-1)
 
 
 def kinetic_apply(state: SpectralState, kt: KineticTable, a: float, dt: float) -> SpectralState:
@@ -204,7 +188,7 @@ def potential_apply(state: SpectralState, pf: PotentialField, b: float, dt: floa
     pf.check_lattice(state.aa)
     if b == 0.0 or dt == 0.0:
         return state.copy()
-    coeffs = potential_stage(state.aa.n)(state.coeffs.copy(), pf.phases(b, dt, epsilon))
+    coeffs = potential_stage(state.coeffs.copy(), pf.phases(b, dt, epsilon))
     return SpectralState(coeffs, state.aa, state.time)
 
 

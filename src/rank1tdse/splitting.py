@@ -10,9 +10,10 @@ rather than looping over single steps.  The plan holds one phase n-vector per
 distinct nonzero ``b`` and one phase table over the kinetic table's rates (at
 most n) per distinct nonzero ``a``.  The stages run in place on one evolving
 copy of the state: a kinetic stage gathers its phases block by block, and a
-potential stage runs its FFT pair, with one n-vector of pocketfft scratch on
-the 1-D pair only (see ``SplittingScheme.plan_vectors``).  Both, and the phase
-build, run on ``EvolutionRecord.workers`` = ``lattice.stage_workers(n)`` threads.
+potential stage runs its FFT pair (with pocketfft's n-vector of scratch on the 1-D
+pair, a twiddle buffer per thread made by each call on the four-step pair; see
+``SplittingScheme.plan_vectors``).  Both, and the phase build, run on
+``EvolutionRecord.workers`` = ``lattice.stage_workers(n)`` threads.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class SplittingScheme:
 
         Not counted: one kinetic phase table per distinct nonzero a, over max ||h||^2 + 1 rates
         (at most n), which for ``s17odr8a`` on ``paper-d2`` is 5 n-vectors more, and the four-step
-        pair's twiddle tables and block buffer per thread (n/2 at 2^16; n/8 at 2^20, n/16 at 2^24 on two)."""
+        pair's twiddle tables and block buffer per thread, made by each stage call (n/2 at 2^16;
+        n/8 at 2^20, n/16 at 2^24 on two)."""
         return len({b for _, b in self.stages} - {0.0}) + 2 + (four_step_split(n) is None)
 
 
@@ -177,14 +179,13 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
     coeffs = state.coeffs.copy()
     kin = {a: kt.phases(a, dt) for a in {a for a, _ in sch.stages} - {0.0}}
     pot = {b: pf.phases(b, dt, epsilon) for b in {b for _, b in sch.stages} - {0.0}}
-    pair = potential_stage(coeffs.size)
     t0 = _time.perf_counter()
     for k in range(m):
         for a, b in reversed(sch.stages):
             if a != 0.0:
                 kinetic_stage(coeffs, kin[a], kt.index)
             if b != 0.0:
-                coeffs = pair(coeffs, pot[b])
+                coeffs = potential_stage(coeffs, pot[b])
         if not np.all(np.isfinite(coeffs)):
             raise FloatingPointError(f"non-finite coefficients after step {k + 1} of {m}")
     wall = _time.perf_counter() - t0

@@ -113,10 +113,14 @@ def test_lattice_gen_bytes_do_not_depend_on_blas_threads(tmp_path, python_child)
 
 
 @pytest.mark.parametrize("cmd, message", [
-    (["lattice", "gen", "--n", "1"], "lattice gen: need n >= 2 and d >= 1"),
-    (["lattice", "gen", "--d", "0"], "lattice gen: need n >= 2 and d >= 1"),
+    (["lattice", "gen", "--n", "1"], "lattice: need n >= 2 and d >= 1"),
+    (["lattice", "gen", "--d", "0"], "lattice: need n >= 2 and d >= 1"),
     (["solve", "--preset", "paper-d2", "--steps", "0", "--cache-dir", "c"],
      "--steps must be at least 1, got 0"),
+    (["diagnose", "commutator", "--preset", "paper-d2", "--n-values", "1", "--cache-dir", "c"],
+     "diagnose: need n >= 2 and d >= 1"),
+    (["converge", "--preset", "paper-d2", "--sweep", "4,0", "--cache-dir", "c"],
+     "converge: all sweep step counts must be >= 1"),
 ])
 def test_bad_input_exits_in_one_line(tmp_path, monkeypatch, capsys, cmd, message):
     """Bad numbers end the command with a one-line message, not a traceback, before any work."""
@@ -125,6 +129,35 @@ def test_bad_input_exits_in_one_line(tmp_path, monkeypatch, capsys, cmd, message
         main(cmd)
     assert exc.value.code == message
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("cmd, message", [
+    (["diagnose", "commutator", "--p", "5"], "diagnose: commutator order p must be in 0..4"),
+    (["diagnose", "commutator", "--n-values", "8192"],
+     "diagnose: n = 8192 too large for dense assembly (limit 4096)"),
+    (["solve", "--epsilon", "0"], "solve: epsilon must be positive"),
+    (["solve", "--potential", "nope"], "solve: unknown potential kind 'nope'"),
+])
+def test_bad_input_after_the_set_exits_in_one_line(tmp_path, monkeypatch, capsys, cmd, message):
+    """Input that the library refuses only once the set is built also ends in one line."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--lattice", write_lattice(tmp_path), "--cache-dir", "c"])
+    assert exc.value.code == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"d": 2, "n": 64.9, "z": [1, 19.5]}, "lattice: n = 64.9 is not an integer"),
+    ({"d": 2, "n": 64, "z": [1, 19.5]}, "lattice: z[1] = 19.5 is not an integer"),
+    ({"d": 2.5, "n": 64, "z": [1, 19]}, "lattice: d = 2.5 is not an integer"),
+])
+def test_lattice_file_with_a_fraction_exits_in_one_line(tmp_path, capsys, doc, message):
+    """A ``--lattice`` file is refused, not truncated, where d, n or a z component is not whole."""
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "info", "--lattice", str(path)])
+    assert exc.value.code == message
 
 
 def test_large_preset_guard(capsys):
@@ -261,7 +294,7 @@ def test_diagnose_circulant(tmp_path, capsys):
 def test_diagnose_circulant_refuses_large_n(tmp_path, capsys):
     """n > 2^10 is refused in one line, as solve and aaset refuse, not with a traceback."""
     lat = write_lattice(tmp_path, d=3, n=4096, z=(1, 1571, 1209))
-    with pytest.raises(SystemExit, match=r"^lattice has n = 4096; the circulant check is desk-scale"):
+    with pytest.raises(SystemExit, match=r"^diagnose: lattice has n = 4096; the circulant check is desk-scale"):
         main(["diagnose", "circulant", "--lattice", lat, "--cache-dir", str(tmp_path / "c")])
     assert not (tmp_path / "c").exists()
 

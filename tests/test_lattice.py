@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rank1tdse import lattice
 from rank1tdse.lattice import (PRESETS, _TIE_TOL, Rank1Lattice, _korobov_kernel_table, _tie_sets,
                                _unit_group, cbc_construct, load_lattice)
 
@@ -100,6 +102,34 @@ def test_load_from_json_file(tmp_path):
     path = tmp_path / "lat.json"
     path.write_text(json.dumps({"d": 2, "n": 5, "z": [1, 3]}))
     assert load_lattice(str(path)) == Rank1Lattice(2, 5, (1, 3))
+
+
+@pytest.mark.parametrize("n, block, edges", [
+    (10, 2, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]),
+    (11, 2, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 11)]),  # a one-row tail joins the block before it
+    (2, 1, [(0, 2)]),
+    (3, 4, [(0, 3)]),  # n < block
+    (1, 4, [(0, 1)]),
+])
+def test_blockwise_deals_fixed_blocks_with_scratch_per_thread(n, block, edges, monkeypatch):
+    """The block edges do not depend on the worker count; block i runs on thread i % workers, which
+    has its own scratch (the calling thread's with one worker)."""
+    for workers in (1, 3):
+        monkeypatch.setattr(lattice, "stage_workers", lambda n: workers)
+        seen = []
+
+        def task(lo, hi, buf):
+            assert buf.shape == (hi - lo,) and buf.dtype == np.int64
+            seen.append((lo, hi, threading.get_ident(), buf.ctypes.data))
+        lattice._blockwise(n, task, np.int64, block=block)
+        seen.sort()
+        assert [(lo, hi) for lo, hi, _, _ in seen] == edges
+        slots = [{(thread, address) for _, _, thread, address in seen[i::workers]} for i in range(workers)]
+        assert all(len(slot) <= 1 for slot in slots)
+        addresses = [address for slot in slots for _, address in slot]
+        assert len(set(addresses)) == len(addresses)
+        if workers == 1:
+            assert slots[0] == {(threading.get_ident(), seen[0][3])}
 
 
 def test_cbc_d1():

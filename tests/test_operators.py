@@ -1,5 +1,7 @@
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +112,22 @@ def test_kinetic_preserves_norm(small):
     assert abs(l2_norm(out) - 1.0) < 1e-13
 
 
+def _deal_blocks(monkeypatch, workers):
+    """Have ``lattice._blockwise`` deal the operators' blocks to ``workers`` threads; return the set
+    of threads that ran one.  Each block first sleeps 1 ms, so that the pool starts more than one."""
+    monkeypatch.setattr(lattice, "stage_workers", lambda n: workers)
+    threads = set()
+
+    def blockwise(n, task, *scratch, block=None):
+        def traced(*args):
+            threads.add(threading.get_ident())
+            time.sleep(1e-3)
+            task(*args)
+        lattice._blockwise(n, traced, *scratch, block=block)
+    monkeypatch.setattr(operators, "_blockwise", blockwise)
+    return threads
+
+
 def test_kinetic_stage_blocks_round_as_one_product(monkeypatch):
     """Any block of two or more residues gives the bits of one in-place product over
     the whole vector, on one thread or with the blocks dealt to three.  With this seed
@@ -122,11 +140,12 @@ def test_kinetic_stage_blocks_round_as_one_product(monkeypatch):
     want = coeffs.copy()
     want *= table[index]
     for workers in (1, 3):
-        monkeypatch.setattr(operators, "stage_workers", lambda n: workers)
+        threads = _deal_blocks(monkeypatch, workers)
         for block in range(2, n + 2):
             monkeypatch.setattr(operators, "_BLOCK", block)
             got = kinetic_stage(coeffs.copy(), table, index)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (workers, block)
+        assert (len(threads) > 1) == (workers > 1)
 
 
 def _custom_with_zeros(x):
@@ -164,24 +183,26 @@ def test_potential_phases_bit_identical_to_complex_product(lat):
 def test_potential_phases_blocked_build_bit_identical(n, workers, monkeypatch):
     """Built a row block at a time from a blocked read of the values, on one thread or
     three, the phases carry the complex product's bits, signed zeros included."""
-    monkeypatch.setattr(operators, "stage_workers", lambda n: workers)
+    threads = _deal_blocks(monkeypatch, workers)
     rng = np.random.default_rng(n)
     values = np.where(rng.random(n) < 0.1, 0.0, rng.standard_normal(n))
     pf = PotentialField(values, "custom", Rank1Lattice(1, n, (1,)))
     for b, dt, eps in ((0.5, 0.01, 1.0), (-0.155248405110362, 1 / 2048, 0.3)):
         want = np.exp(-1j * (b * dt / eps) * values)[_stage_order(n)]
         assert np.array_equal(pf.phases(b, dt, eps).view(np.uint64), want.view(np.uint64)), (b, dt, eps)
+    assert (len(threads) > 1) == (workers > 1)
 
 
-# Runs blocks on both pool threads, forks, and exits 0 once the forked child has done the same.
+# Runs two blocks on both pool threads, forks, and exits 0 once the forked child has done the same.
 _FORK_CHILD = """
 import os, time
 from rank1tdse import lattice
-lattice._deal(lambda blocks: time.sleep(0.2), range(2), 2)
+lattice.stage_workers = lambda n: 2
+lattice._blockwise(4, lambda lo, hi: time.sleep(0.2), block=2)
 time.sleep(0.2)  # both threads idle, waiting for work
 pid = os.fork()
 if pid == 0:
-    lattice._deal(lambda blocks: None, range(2), 2)
+    lattice._blockwise(4, lambda lo, hi: None, block=2)
     os._exit(0)
 for _ in range(200):
     done, status = os.waitpid(pid, os.WNOHANG)
@@ -210,7 +231,7 @@ def test_four_step_pair_matches_1d_pair(n):
     assert operators.four_step_split(n) is not None
     coeffs, phases = _random_pair_inputs(n)
     want = scipy.fft.fft(scipy.fft.ifft(coeffs) * phases)
-    got = operators.potential_stage(n)(coeffs.copy(), phases[_stage_order(n)])
+    got = operators.potential_stage(coeffs.copy(), phases[_stage_order(n)])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -236,19 +257,19 @@ def _four_step_reference(coeffs, phases):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("n", [2**15, 2**16, 2**21])
 def test_four_step_pair_shares_its_tables_and_keeps_its_bits(n, workers, monkeypatch):
-    """Every ``potential_stage(n)`` after the first reuses the read-only twiddle tables, and the
-    pair, on one thread or with its row blocks dealt to three, gives the reference's bits
+    """Every ``potential_stage`` call reuses the read-only twiddle tables of its n, and the pair,
+    on one thread or with its row blocks dealt to three, gives the reference's bits
     (2^21: m2 = 2 m1, with a partial last block of rows)."""
-    monkeypatch.setattr(operators, "stage_workers", lambda n: workers)
+    threads = _deal_blocks(monkeypatch, workers)
     coeffs, phases = _random_pair_inputs(n)
     want = _four_step_reference(coeffs.copy(), phases)
-    first = operators.potential_stage(n)
-    hits = operators._twiddles.cache_info().hits
-    second = operators.potential_stage(n)
-    assert operators._twiddles.cache_info().hits == hits + 1
     assert not any(table.flags.writeable for table in operators._twiddles(n))
-    for pair in (first, second, first):
-        assert np.array_equal(pair(coeffs.copy(), phases).view(np.uint64), want.view(np.uint64))
+    for _ in range(2):
+        hits = operators._twiddles.cache_info().hits
+        got = operators.potential_stage(coeffs.copy(), phases)
+        assert operators._twiddles.cache_info().hits == hits + 1
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert (len(threads) > 1) == (workers > 1)
 
 
 def test_potential_apply_keeps_its_bits_with_shared_tables():
@@ -267,7 +288,7 @@ def test_small_or_non_power_of_two_n_keeps_the_1d_pair(n):
     assert operators.four_step_split(n) is None
     coeffs, phases = _random_pair_inputs(n)
     want = scipy.fft.fft(scipy.fft.ifft(coeffs) * phases)
-    assert np.array_equal(operators.potential_stage(n)(coeffs.copy(), phases), want)
+    assert np.array_equal(operators.potential_stage(coeffs.copy(), phases), want)
 
 
 def test_potential_zero_coefficient_is_identity(small):
