@@ -14,7 +14,7 @@ from dataclasses import fields
 
 from . import antialias, diagnostics, experiments, selftest as _selftest
 from .lattice import PRESETS, Rank1Lattice, cbc_construct, load_lattice, stage_workers
-from .operators import make_gaussian, make_kinetic, make_potential
+from .operators import check_epsilon, make_gaussian, make_kinetic, make_potential, potential_kind
 from .splitting import SCHEME_NAMES, evolve, scheme
 from .transform import save_snapshot
 
@@ -85,6 +85,8 @@ def _cmd_solve(args) -> int:
     if args.steps < 1:
         raise SystemExit(f"--steps must be at least 1, got {args.steps}")
     lat = _resolve_lattice(args)
+    check_epsilon(args.epsilon)  # refuse bad input before the set is built and cached
+    potential_kind(args.potential)
     cache_dir = args.cache_dir or experiments.default_cache_dir()
     aa = antialias.cached_build(lat, cache_dir)
     kt = make_kinetic(aa, args.epsilon)
@@ -128,11 +130,11 @@ def _cmd_diagnose(args) -> int:
         dev = diagnostics.circulant_check(aa, pf)
         print(f"max deviation: {dev:.3e}")
         return 0 if dev <= 1e-10 else 1
-    # commutator sweep over the given moduli, CBC vectors per n
-    pairs = []
-    for n in args.n_values:
-        sub = cbc_construct(lat.d, n) if lat.n != n else lat
-        pairs.append((sub, antialias.cached_build(sub, cache_dir)))
+    # commutator sweep over the given moduli, CBC vectors per n; bad input is refused before any set is built
+    diagnostics.check_dense_input(max(args.n_values), args.p, args.epsilon)
+    potential_kind(args.potential)
+    subs = [cbc_construct(lat.d, n) if lat.n != n else lat for n in args.n_values]
+    pairs = [(sub, antialias.cached_build(sub, cache_dir)) for sub in subs]
     if args.contrast:
         pairs = [(l, diagnostics.shifted_representatives(a)) for l, a in pairs]
     report = diagnostics.commutator_sweep(

@@ -6,6 +6,8 @@ and matches the analytic first-column formula for polynomial potentials;
 (b) nested commutators of the kinetic diagonal with the multiplication
 operator, scaled by ``(D + I)^-p``, stay bounded as n grows when the
 frequency representatives are norm-minimal, and blow up when they are not.
+W is the circulant of one FFT of the potential and is scaled in place, so a
+check holds one n x n complex array and a power step costs O(n^2).
 """
 
 from __future__ import annotations
@@ -14,16 +16,17 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .antialias import AntiAliasingSet, _norms2
-from .operators import PotentialField, smooth_potential_coefficients
+from .operators import PotentialField, check_epsilon, smooth_potential_coefficients
 from .transform import aliasing_oracle
 
 __all__ = [
     "CommutatorReport",
-    "fourier_matrix",
     "dense_multiplication_operator",
     "check_circulant_size",
+    "check_dense_input",
     "circulant_check",
     "commutator_norm",
     "commutator_sweep",
@@ -52,19 +55,27 @@ class CommutatorReport:
         return json.dumps(doc, indent=2)
 
 
-def fourier_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix with entries exp(-2 pi i a b / n) / sqrt(n)."""
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+def _circulant(w: np.ndarray) -> np.ndarray:
+    """``C[i, j] = w[(i - j) mod n]``: row i is the window from n - 1 - i of the reversed ``w`` twice over."""
+    twice = np.tile(w[::-1], 2)[:-1]
+    return np.lib.stride_tricks.sliding_window_view(twice, w.shape[0])[::-1].copy()
+
+
+def check_dense_input(n: int, p: int = 0, epsilon: float = 1.0) -> None:
+    """Raise ``ValueError`` for n above the dense limit, a commutator order p outside 0..4 or epsilon <= 0."""
+    if n > _DENSE_LIMIT:
+        raise ValueError(f"n = {n} too large for dense assembly (limit {_DENSE_LIMIT})")
+    if not 0 <= p <= 4:
+        raise ValueError("commutator order p must be in 0..4")
+    check_epsilon(epsilon)
 
 
 def dense_multiplication_operator(pf: PotentialField) -> np.ndarray:
-    """W = F diag(v) F^-1, the potential's action in coefficient space."""
+    """W = F diag(v) F^-1, the potential's action in coefficient space: the circulant
+    ``W[i, j] = w[(i - j) mod n]`` of ``w = FFT(v) / n`` (the convention of ``transform.forward``)."""
     n = pf.values.shape[0]
-    if n > _DENSE_LIMIT:
-        raise ValueError(f"n = {n} too large for dense assembly (limit {_DENSE_LIMIT})")
-    F = fourier_matrix(n)
-    return (F * pf.values) @ F.conj().T
+    check_dense_input(n)
+    return _circulant(scipy.fft.fft(pf.values) / n)
 
 
 def check_circulant_size(n: int) -> None:
@@ -76,8 +87,8 @@ def check_circulant_size(n: int) -> None:
 def circulant_check(aa: AntiAliasingSet, pf: PotentialField) -> float:
     """Max elementwise deviation between the two multiplication-operator builds.
 
-    Compares the dense conjugation ``F diag(v) F^-1`` against the circulant
-    matrix assembled from the potential's analytic Fourier coefficients, whose
+    Compares ``dense_multiplication_operator``, the circulant of the tabulated
+    potential's FFT, against the circulant of its analytic Fourier coefficients, whose
     first column is their aliasing sum ``w_j = sum of v_hat(h) over h . z == j``.
     Only defined for the smooth product potential, whose coefficient support
     is finite.
@@ -87,10 +98,8 @@ def circulant_check(aa: AntiAliasingSet, pf: PotentialField) -> float:
         raise ValueError("analytic-column comparison needs a trigonometric-polynomial potential")
     pf.check_lattice(aa)
     dense = dense_multiplication_operator(pf)
-    w = aliasing_oracle(smooth_potential_coefficients(aa.lattice.d), aa).coeffs
-    xi = np.arange(aa.n)
-    analytic = w[(xi[:, None] - xi[None, :]) % aa.n]
-    return float(np.abs(dense - analytic).max())
+    dense -= _circulant(aliasing_oracle(smooth_potential_coefficients(aa.lattice.d), aa).coeffs)
+    return float(np.abs(dense).max())
 
 
 def _spectral_norm(M: np.ndarray, iters: int = 50, rtol: float = 1e-8) -> float:
@@ -98,10 +107,9 @@ def _spectral_norm(M: np.ndarray, iters: int = 50, rtol: float = 1e-8) -> float:
     rng = np.random.default_rng(0)
     y = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
     y /= np.linalg.norm(y)
-    MH = M.conj().T
     prev = 0.0
     for _ in range(iters):
-        y = MH @ (M @ y)
+        y = np.conj(np.conj(M @ y) @ M)  # M^H (M y) without a conjugate copy of M
         lam = np.linalg.norm(y)
         if lam == 0.0:
             return 0.0
@@ -117,14 +125,15 @@ def commutator_norm(aa: AntiAliasingSet, pf: PotentialField, p: int, epsilon: fl
 
     D is the kinetic diagonal ``2 pi^2 eps ||h_xi||^2`` and W the potential
     multiplication operator divided by eps.  D is diagonal, so the p-fold
-    commutator is W scaled entrywise by ``(d_i - d_j)^p``; the spectral norm is
-    estimated by power iteration.
+    commutator is W scaled entrywise by ``(d_i - d_j)^p``, here in place by
+    blocks of rows; the spectral norm is estimated by power iteration.
     """
-    if not 0 <= p <= 4:
-        raise ValueError("commutator order p must be in 0..4")
+    check_dense_input(aa.n, p, epsilon)
     d_diag = 2.0 * np.pi**2 * epsilon * aa.norms2.astype(np.float64)
+    denominator = (d_diag + 1.0) ** p * epsilon
     M = dense_multiplication_operator(pf)
-    M *= (d_diag[:, None] - d_diag[None, :]) ** p / ((d_diag[None, :] + 1.0) ** p * epsilon)
+    for lo in range(0, aa.n, 64):  # a 64 x n float temporary, 2 MiB at the dense limit
+        M[lo:lo + 64] *= (d_diag[lo:lo + 64, None] - d_diag) ** p / denominator
     return _spectral_norm(M)
 
 

@@ -114,7 +114,8 @@ class Rank1Lattice:
         return self.numerators() / float(self.n)
 
     def residues(self, h) -> np.ndarray:
-        """``h . z mod n`` for a (..., d) array of frequency vectors, accumulated in int64, by blocks of rows."""
+        """``h . z mod n`` for a (..., d) array of frequency vectors, accumulated in int64 by blocks of rows
+        and reduced after the last column: exact while every |h_j| < 2^63 / (d n)."""
         h = np.asarray(h)
         res = np.zeros(h.shape[:-1], dtype=np.int64)
         rows, out = h.reshape(-1, h.shape[-1]), res.reshape(-1)
@@ -124,7 +125,7 @@ class Rank1Lattice:
             for j, zj in enumerate(self.z):
                 np.multiply(rows[lo:hi, j], zj, out=term, dtype=np.int64)
                 block += term
-                block %= self.n
+            block %= self.n
         _blockwise(len(rows), accumulate, np.int64)
         return res
 
@@ -147,9 +148,14 @@ def load_lattice(source) -> Rank1Lattice:
         if source in PRESETS:
             d, n, z = PRESETS[source]
             return Rank1Lattice(d, n, z)
-        with open(source) as fh:
-            source = json.load(fh)
+        try:
+            with open(source) as fh:
+                source = json.load(fh)
+        except OSError as e:
+            raise ValueError(f"{source}: {e.strerror}") from None
     if isinstance(source, dict):
+        if missing := {"d", "n", "z"} - source.keys():
+            raise ValueError(f"lattice has no field {min(missing)!r}")
         d, n, z = source["d"], source["n"], source["z"]
         for field, value in [("d", d), ("n", n), *((f"z[{j}]", v) for j, v in enumerate(z))]:
             if int(value) != value:

@@ -107,9 +107,14 @@ class PotentialField:
             raise ValueError("potential field was tabulated on another lattice than the state's")
 
 
-def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
+def check_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless the semiclassical parameter epsilon is positive."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+
+
+def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
+    check_epsilon(epsilon)
     # one rate per norm 0..max||h||^2 while that is no longer than the set (no sort needed);
     # else (d = 1, non-minimal sets: up to n^2/4) one per distinct norm, so at most n
     if aa.max_norm2() < aa.n:
@@ -221,6 +226,13 @@ POTENTIAL_KINDS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], np.ufunc]] 
 }
 
 
+def potential_kind(kind: str) -> tuple[Callable[[np.ndarray], np.ndarray], np.ufunc]:
+    """``POTENTIAL_KINDS[kind]``; ``ValueError`` for a name that is not a key."""
+    if kind not in POTENTIAL_KINDS:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    return POTENTIAL_KINDS[kind]
+
+
 def _tabulate(lattice: Rank1Lattice, factor: Callable[[np.ndarray], np.ndarray],
               combine: np.ufunc) -> np.ndarray:
     """``combine_j factor(x_j)`` at every lattice point, in the order j = 0..d-1, by blocks of points.
@@ -246,11 +258,7 @@ def make_potential(kind: str, lattice: Rank1Lattice,
     if func is not None:
         values = np.asarray(func(lattice.node_coords()), dtype=np.float64)
         return PotentialField(values, "custom", lattice)
-    try:
-        factor, combine = POTENTIAL_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown potential kind {kind!r}") from None
-    return PotentialField(_tabulate(lattice, factor, combine), kind, lattice)
+    return PotentialField(_tabulate(lattice, *potential_kind(kind)), kind, lattice)
 
 
 def smooth_potential_coefficients(d: int) -> dict[tuple[int, ...], float]:
@@ -274,8 +282,7 @@ def make_gaussian(aa: AntiAliasingSet, epsilon: float = 1.0) -> SpectralState:
     coefficient vector to unit l2 norm (the discrete Parseval-consistent
     normalization).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     lat = aa.lattice
     coeffs = np.empty(lat.n, dtype=np.complex128)  # the result first: the temporaries lie above it
     vals, scale = _tabulate(lat, _centered_square, np.add), (2.0 / (np.pi * epsilon)) ** (lat.d / 4.0)

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rank1tdse import antialias
@@ -34,7 +35,7 @@ def full_disk(monkeypatch):
     return lambda: monkeypatch.setattr(antialias, "open", _FullDisk, raising=False)
 
 
-def _tracemalloc_peak(fn, *args):
+def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
         fn(*args)
@@ -44,9 +45,34 @@ def _tracemalloc_peak(fn, *args):
 
 
 @pytest.fixture
-def tracemalloc_peak():
-    """``tracemalloc_peak(fn, *args)`` is the peak of traced bytes allocated during ``fn(*args)``."""
-    return _tracemalloc_peak
+def peak_bytes():
+    """``peak_bytes(fn, *args)`` is the peak of traced bytes allocated during ``fn(*args)``."""
+    return _peak_bytes
+
+
+def _fourier_matrix(n):
+    """Unitary DFT matrix with entries exp(-2 pi i a b / n) / sqrt(n)."""
+    idx = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+
+
+def _conjugated_operator(pf):
+    """F diag(v) F^-1, the potential's multiplication in coefficient space by dense conjugation."""
+    F = _fourier_matrix(pf.values.shape[0])
+    return (F * pf.values) @ F.conj().T
+
+
+@pytest.fixture
+def fourier_matrix():
+    """``fourier_matrix(n)``: the unitary n x n DFT matrix of the conjugation oracle."""
+    return _fourier_matrix
+
+
+@pytest.fixture
+def conjugated_operator():
+    """``conjugated_operator(pf)``: the multiplication operator as ``F diag(v) F^-1``, an O(n^3)
+    oracle independent of the library's circulant build."""
+    return _conjugated_operator
 
 
 def _run_python(code, *args, cpus=None, timeout=1800, **env):

@@ -116,12 +116,12 @@ def test_key_width_follows_d_and_radius():
     assert antialias._key_dtype(2, 1635) == np.int64
 
 
-def test_build_memory_is_order_n_d(tracemalloc_peak):
+def test_build_memory_is_order_n_d(peak_bytes):
     """A desk-scale d = 4 build peaks at O(n d) bytes; the whole-ball reference does not."""
     lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))  # cbc_construct(4, 2**14)
     bound = 32 * lat.n * lat.d
-    assert tracemalloc_peak(antialias.build, lat) <= bound
-    assert tracemalloc_peak(_reference_build, lat) > bound
+    assert peak_bytes(antialias.build, lat) <= bound
+    assert peak_bytes(_reference_build, lat) > bound
 
 
 def test_budget_counts_pairs_examined():
@@ -246,7 +246,7 @@ def test_truncated_cache_body_triggers_rebuild(tmp_path, tiny):
     assert np.array_equal(antialias.load_cache(path, lat).freq, aa.freq)
 
 
-def test_load_cache_memory_is_table_plus_norms(tmp_path, tracemalloc_peak):
+def test_load_cache_memory_is_table_plus_norms(tmp_path, peak_bytes):
     """Loading reads the int32 table once: the peak stays within twice the table plus its norms.
 
     The second half is the set's residue check (two int64 n-vectors and a
@@ -255,7 +255,7 @@ def test_load_cache_memory_is_table_plus_norms(tmp_path, tracemalloc_peak):
     lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))
     path = tmp_path / "aa.bin"
     antialias.save_cache(antialias.build(lat), path)
-    assert tracemalloc_peak(antialias.load_cache, path, lat) <= 2 * (4 * lat.n * lat.d + 8 * lat.n)
+    assert peak_bytes(antialias.load_cache, path, lat) <= 2 * (4 * lat.n * lat.d + 8 * lat.n)
 
 
 def test_failed_cache_write_keeps_old_cache(tmp_path, tiny, full_disk):

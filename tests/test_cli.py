@@ -137,13 +137,34 @@ def test_bad_input_exits_in_one_line(tmp_path, monkeypatch, capsys, cmd, message
      "diagnose: n = 8192 too large for dense assembly (limit 4096)"),
     (["solve", "--epsilon", "0"], "solve: epsilon must be positive"),
     (["solve", "--potential", "nope"], "solve: unknown potential kind 'nope'"),
+    (["diagnose", "commutator", "--n-values", "64", "8192"],
+     "diagnose: n = 8192 too large for dense assembly (limit 4096)"),
+    (["diagnose", "commutator", "--epsilon", "-1"], "diagnose: epsilon must be positive"),
+    (["diagnose", "commutator", "--potential", "nope"], "diagnose: unknown potential kind 'nope'"),
+    (["diagnose", "commutator", "--n-values", "64", "1"], "diagnose: need n >= 2 and d >= 1"),
 ])
 def test_bad_input_after_the_set_exits_in_one_line(tmp_path, monkeypatch, capsys, cmd, message):
-    """Input that the library refuses only once the set is built also ends in one line."""
+    """Input that the library would refuse only once the sets are built ends in one line, and is
+    now checked first: nothing is built, so ``--cache-dir`` stays empty."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main([*cmd, "--lattice", write_lattice(tmp_path), "--cache-dir", "c"])
     assert exc.value.code == message
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    (None, "lattice: {path}: No such file or directory"),
+    ({"d": 2, "n": 64}, "lattice: lattice has no field 'z'"),
+])
+def test_lattice_file_missing_or_incomplete_exits_in_one_line(tmp_path, capsys, doc, message):
+    """A ``--lattice`` file that does not exist or lacks a field is refused in one line, not a traceback."""
+    path = tmp_path / "lat.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "info", "--lattice", str(path)])
+    assert exc.value.code == message.format(path=path)
 
 
 @pytest.mark.parametrize("doc, message", [

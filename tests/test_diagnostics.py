@@ -9,17 +9,22 @@ from rank1tdse.diagnostics import (
     commutator_norm,
     commutator_sweep,
     dense_multiplication_operator,
-    fourier_matrix,
     shifted_representatives,
     _spectral_norm,
 )
-from rank1tdse.lattice import Rank1Lattice
+from rank1tdse.lattice import Rank1Lattice, cbc_construct
 from rank1tdse.operators import make_potential, smooth_potential_coefficients
-from rank1tdse.transform import aliasing_oracle
+from rank1tdse.transform import NodalValues, SpectralState, aliasing_oracle, forward, inverse
 
 
 def v1_for(lat):
     return make_potential("smooth_v1", lat)
+
+
+def circulant_matrix(w):
+    """``C[i, j] = w[(i - j) mod n]`` by index arithmetic."""
+    i = np.arange(len(w))
+    return w[(i[:, None] - i[None, :]) % len(w)]
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +36,34 @@ def sweep_pairs():
     return pairs
 
 
-def test_fourier_matrix_unitary():
+def test_fourier_matrix_unitary(fourier_matrix):
     F = fourier_matrix(16)
     assert np.abs(F @ F.conj().T - np.eye(16)).max() < 1e-13
+
+
+def test_conjugation_oracle_multiplies_in_coefficient_space(conjugated_operator):
+    """The tests' F diag(v) F^-1 maps the coefficients of u to those of v u (``forward``'s convention)."""
+    lat = Rank1Lattice(2, 64, (1, 19))
+    aa, pf = antialias.build(lat), make_potential("harmonic_v2", lat)
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    product = forward(NodalValues(pf.values * inverse(SpectralState(c, aa)).values, lat), aa).coeffs
+    assert np.abs(conjugated_operator(pf) @ c - product).max() < 1e-13 * np.abs(product).max()
+
+
+#: (d, n, z) of the lattices on which the library's W is compared with the oracle
+_ORACLE_LATTICES = [(1, 8, (1,)), (1, 256, (1,)), (2, 5, (1, 3)), (2, 64, (1, 19)), (2, 256, (1, 37)),
+                    (3, 128, None), (3, 255, None)]
+
+
+@pytest.mark.parametrize("d, n, z", _ORACLE_LATTICES)
+@pytest.mark.parametrize("kind", ["smooth_v1", "harmonic_v2"])
+def test_dense_operator_equals_conjugation(conjugated_operator, d, n, z, kind):
+    """The circulant of FFT(v) / n is the dense conjugation F diag(v) F^-1 to 1e-13 of max |v|."""
+    lat = Rank1Lattice(d, n, z) if z else cbc_construct(d, n)
+    pf = make_potential(kind, lat)
+    err = np.abs(dense_multiplication_operator(pf) - conjugated_operator(pf)).max()
+    assert err <= 1e-13 * np.abs(pf.values).max()
 
 
 def test_dense_operator_of_constant_potential():
@@ -95,6 +125,15 @@ def test_commutator_p0_is_operator_norm():
     assert abs(got - want) < 1e-8 * want
 
 
+def test_spectral_norm_of_a_complex_matrix():
+    """The power iteration applies M^H, not M^T: a complex M = U diag(s) V^H with ||M||_2 = 3."""
+    rng = np.random.default_rng(5)
+    U, V = (np.linalg.qr(rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48)))[0] for _ in "UV")
+    s = np.linspace(0.1, 1.0, 48)
+    s[0] = 3.0
+    assert abs(_spectral_norm((U * s) @ V.conj().T) - 3.0) < 1e-8
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_commutator_equals_repeated_commutation(p):
     """The entrywise (d_i - d_j)^p scaling against p explicit commutations D M - M D."""
@@ -108,11 +147,54 @@ def test_commutator_equals_repeated_commutation(p):
     assert abs(commutator_norm(aa, pf, p, eps) - want) <= 1e-12 * want
 
 
+def _oracle_commutator_norm(conjugated_operator, aa, pf, p):
+    """The dense path without the library's operator: conjugation, full n x n scaling, power iteration."""
+    d = 2.0 * np.pi**2 * aa.norms2.astype(np.float64)
+    M = conjugated_operator(pf) * ((d[:, None] - d[None, :]) ** p / (d[None, :] + 1.0) ** p)
+    return _spectral_norm(M)
+
+
+@pytest.mark.parametrize("p", range(5))
+@pytest.mark.parametrize("shifted", [False, True], ids=["minimal", "shifted"])
+@pytest.mark.parametrize("d, n", [(2, 64), (2, 256), (3, 256)])
+def test_commutator_norm_equals_conjugation_oracle(conjugated_operator, d, n, shifted, p):
+    """``commutator_norm`` reads the oracle's dense norm within 1e-8, on minimal and shifted sets."""
+    lat = cbc_construct(d, n)
+    aa = antialias.build(lat)
+    if shifted:
+        aa = shifted_representatives(aa)
+    pf = v1_for(lat)
+    want = _oracle_commutator_norm(conjugated_operator, aa, pf, p)
+    assert abs(commutator_norm(aa, pf, p) - want) <= 1e-8 * want
+
+
+def test_commutator_norm_matches_the_analytic_operator():
+    """At d = 2, n = 1024, p = 4 the scaling multiplies entries by up to 6e15, rounding noise too: the
+    circulant of FFT(v) / n keeps the norm of the operator built from the exact coefficients to 1e-12
+    (the dense conjugation F diag(v) F^-1 was 3.2e-9 off)."""
+    lat = cbc_construct(2, 1024)
+    aa = antialias.build(lat)
+    d = 2.0 * np.pi**2 * aa.norms2.astype(np.float64)
+    exact = circulant_matrix(aliasing_oracle(smooth_potential_coefficients(2), aa).coeffs)
+    want = np.linalg.norm(exact * ((d[:, None] - d[None, :]) ** 4 / (d[None, :] + 1.0) ** 4), ord=2)
+    assert abs(commutator_norm(aa, v1_for(lat), 4) - want) <= 1e-12 * want
+
+
+def test_commutator_norm_holds_one_operator(sweep_pairs, peak_bytes):
+    """At n = 1024 the check allocates one n x n complex array (16 MiB) and at most a quarter more."""
+    lat, aa = sweep_pairs[-1]
+    assert lat.n == 1024
+    pf = v1_for(lat)
+    assert peak_bytes(commutator_norm, aa, pf, 2) <= 1.25 * 16 * lat.n**2
+
+
 def test_commutator_p_validation():
     lat = Rank1Lattice(2, 5, (1, 3))
     aa = antialias.build(lat)
     with pytest.raises(ValueError):
         commutator_norm(aa, v1_for(lat), p=5)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        commutator_norm(aa, v1_for(lat), p=1, epsilon=0.0)
 
 
 def test_shifted_representatives_same_residues():

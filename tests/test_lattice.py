@@ -104,6 +104,46 @@ def test_load_from_json_file(tmp_path):
     assert load_lattice(str(path)) == Rank1Lattice(2, 5, (1, 3))
 
 
+def test_load_missing_file_names_the_path(tmp_path):
+    path = str(tmp_path / "nope.json")
+    with pytest.raises(ValueError, match=f"^{path}: No such file or directory$"):
+        load_lattice(path)
+
+
+@pytest.mark.parametrize("doc, field", [({"d": 2, "n": 64}, "z"), ({"n": 64}, "d"), ({"d": 1, "z": [1]}, "n")])
+def test_load_missing_field_names_the_field(tmp_path, doc, field):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^lattice has no field '{field}'$"):
+        load_lattice(str(path))
+
+
+def _residues_per_column(lat, h):
+    """``h . z mod n`` with a reduction after every column: each partial sum stays below n + max |h_j z_j|."""
+    res = np.zeros(len(h), dtype=np.int64)
+    for j, zj in enumerate(lat.z):
+        res += h[:, j] * zj
+        res %= lat.n
+    return res
+
+
+@pytest.mark.parametrize("d, n", [(2, 65521), (4, 1000003), (8, 2**24 + 43)])
+def test_residues_exact_at_the_documented_bound(d, n):
+    """One reduction after the last column equals the per-column one while every |h_j| < 2^63 / (d n).
+
+    The moduli are primes: int64 wraps modulo 2^64, which a power-of-two n divides, so there an
+    overflow would not show.
+    """
+    lat = Rank1Lattice(d, n, tuple(range(n - 1, n - 2 * d, -2)))  # components near n
+    bound = 2**63 // (d * n) - 1
+    rng = np.random.default_rng(d)
+    h = np.concatenate([np.full((1, d), bound), np.full((1, d), -bound),
+                        rng.choice([-bound, bound], (64, d)), rng.integers(-bound, bound + 1, (64, d))])
+    got = lat.residues(h)
+    assert np.array_equal(got, _residues_per_column(lat, h))
+    assert [int(r) for r in got[:4]] == [sum(int(x) * zj for x, zj in zip(row, lat.z)) % n for row in h[:4]]
+
+
 @pytest.mark.parametrize("n, block, edges", [
     (10, 2, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]),
     (11, 2, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 11)]),  # a one-row tail joins the block before it

@@ -459,14 +459,14 @@ def test_custom_potential_of_wrong_shape_rejected(small):
         make_potential(None, lat, func=lambda x: x)
 
 
-def test_tabulation_memory_is_order_n(tracemalloc_peak):
+def test_tabulation_memory_is_order_n(peak_bytes):
     """Named potentials and the Gaussian peak under six float64 n-vectors at d = 6; the row formulas do not."""
     lat = Rank1Lattice(6, 2**14, (1, 6229, 2691, 7737, 717, 3893))  # cbc_construct(6, 2**14)
     aa = antialias.build(lat)
     bound = 6 * 8 * lat.n
     for kind in POTENTIAL_KINDS:
-        assert tracemalloc_peak(make_potential, kind, lat) <= bound
-    assert tracemalloc_peak(make_gaussian, aa) <= bound
+        assert peak_bytes(make_potential, kind, lat) <= bound
+    assert peak_bytes(make_gaussian, aa) <= bound
     for row_formula in (_row_smooth, _row_harmonic):
-        assert tracemalloc_peak(lambda: row_formula(lat.node_coords())) > bound
-    assert tracemalloc_peak(_row_gaussian, aa) > bound
+        assert peak_bytes(lambda: row_formula(lat.node_coords())) > bound
+    assert peak_bytes(_row_gaussian, aa) > bound

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from rank1tdse import antialias, lattice, operators
-from rank1tdse.diagnostics import dense_multiplication_operator
 from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import (
     PotentialField,
@@ -361,7 +360,7 @@ def cbc_d3_blocks():
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
-def test_evolve_allocates_no_complex_temporary(cbc_d3_blocks, name, tracemalloc_peak):
+def test_evolve_allocates_no_complex_temporary(cbc_d3_blocks, name, peak_bytes):
     """Traced peak of one evolve call: at most (distinct nonzero b + 2) complex n-vectors.
 
     That is the evolving copy, one phase n-vector per distinct b, and one n-vector
@@ -374,7 +373,7 @@ def test_evolve_allocates_no_complex_temporary(cbc_d3_blocks, name, tracemalloc_
     kt, pf, st = make_kinetic(aa), make_potential("smooth_v1", lat), make_gaussian(aa)
     sch = scheme(name)
     vectors = len({b for _, b in sch.stages} - {0.0}) + 2
-    peak = tracemalloc_peak(evolve, st, sch, kt, pf, 3, 0.01, 1.0)
+    peak = peak_bytes(evolve, st, sch, kt, pf, 3, 0.01, 1.0)
     assert peak <= vectors * 16 * lat.n, f"peak {peak / (16 * lat.n):.2f} n-vectors"
 
 
@@ -384,10 +383,9 @@ def test_plan_vectors_count_fft_scratch_only_on_the_1d_pair():
     assert [scheme(name).plan_vectors(2**20) for name in SCHEME_NAMES] == [3, 7, 11]
 
 
-def _dense_order(s, pf, name, ms):
-    """Slope of the error against the exact matrix exponential over t in [0, 0.2]."""
+def _dense_order(s, pf, W, name, ms):
+    """Slope of the error against the exact matrix exponential of D + W over t in [0, 0.2]."""
     D = np.diag(s["kt"].phases_base)
-    W = dense_multiplication_operator(pf)
     t = 0.2
     exact = expm(-1j * t * (D + W)) @ s["st"].coeffs
     errs = []
@@ -402,9 +400,9 @@ def _dense_order(s, pf, name, ms):
     ("s9odr6a", (4, 8, 16, 32), (5.5, 6.5)),
     ("s17odr8a", (2, 4, 8, 16), (7.4, 8.6)),
 ])
-def test_order_against_dense_propagator(setup, name, ms, window):
+def test_order_against_dense_propagator(setup, conjugated_operator, name, ms, window):
     """Each scheme converges at its nominal order to the exact matrix exponential."""
-    slope = _dense_order(setup, setup["pf"], name, ms)
+    slope = _dense_order(setup, setup["pf"], conjugated_operator(setup["pf"]), name, ms)
     assert window[0] < slope < window[1]
 
 
@@ -412,7 +410,7 @@ def test_order_against_dense_propagator(setup, name, ms, window):
     ("strang", (1.8, 2.2)),
     ("s9odr6a", (5.5, 6.5)),
 ])
-def test_order_against_dense_propagator_harmonic(setup, name, window):
+def test_order_against_dense_propagator_harmonic(setup, conjugated_operator, name, window):
     """The kinked ``harmonic_v2`` potential keeps the nominal order once
     dt * 2 pi^2 * max||h||^2 is small (max||h||^2 = 26 here).
 
@@ -420,7 +418,7 @@ def test_order_against_dense_propagator_harmonic(setup, name, window):
     rows leave fewer than three points above ORDER_FIT_FLOOR.
     """
     pf = make_potential("harmonic_v2", setup["lat"])
-    slope = _dense_order(setup, pf, name, (32, 64, 128, 256))
+    slope = _dense_order(setup, pf, conjugated_operator(pf), name, (32, 64, 128, 256))
     assert window[0] < slope < window[1]
 
 

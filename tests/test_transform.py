@@ -233,7 +233,7 @@ def test_failed_snapshot_write_keeps_old_snapshot(tmp_path, lat256, full_disk):
     assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
 
 
-def test_load_snapshot_reads_the_body_once(tmp_path, tracemalloc_peak):
+def test_load_snapshot_reads_the_body_once(tmp_path, peak_bytes):
     """The coefficients are read straight into their array: the peak stays within 1.5x its 16n bytes.
 
     A loader that reads the file's bytes and then copies them out peaks at 2x.
@@ -241,7 +241,7 @@ def test_load_snapshot_reads_the_body_once(tmp_path, tracemalloc_peak):
     aa = antialias.build(Rank1Lattice(1, 2**16, (1,)))
     path = tmp_path / "state.bin"
     save_snapshot(SpectralState(np.ones(aa.n, dtype=complex), aa, time=0.5), path)
-    assert tracemalloc_peak(load_snapshot, path, aa) <= 1.5 * 16 * aa.n
+    assert peak_bytes(load_snapshot, path, aa) <= 1.5 * 16 * aa.n
 
 
 @pytest.mark.parametrize("size", [0, 10])
