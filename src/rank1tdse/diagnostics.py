@@ -1,13 +1,14 @@
-"""Desk-scale dense-matrix checks of the operator structure.
+"""Matrix-free checks of the operator structure.
 
-Two verifications, both limited to moduli small enough for dense n x n
-assembly: (a) the multiplication operator in coefficient space is circulant
-and matches the analytic first-column formula for polynomial potentials;
+Two verifications: (a) the multiplication operator in coefficient space is
+circulant, and its first column, one FFT of the potential, matches the
+analytic aliasing sum for polynomial potentials (two n-vectors, any n);
 (b) nested commutators of the kinetic diagonal with the multiplication
 operator, scaled by ``(D + I)^-p``, stay bounded as n grows when the
 frequency representatives are norm-minimal, and blow up when they are not.
-W is the circulant of one FFT of the potential and is scaled in place, so a
-check holds one n x n complex array and a power step costs O(n^2).
+The scaled operator is never formed: a power step rebuilds it 64 rows at a
+time from a read-only circulant view, so a check holds three 64 x n buffers
+and a power step costs O(n^2) time, n up to the dense limit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .transform import aliasing_oracle
 __all__ = [
     "CommutatorReport",
     "dense_multiplication_operator",
-    "check_circulant_size",
     "check_dense_input",
     "circulant_check",
     "commutator_norm",
@@ -56,9 +56,14 @@ class CommutatorReport:
 
 
 def _circulant(w: np.ndarray) -> np.ndarray:
-    """``C[i, j] = w[(i - j) mod n]``: row i is the window from n - 1 - i of the reversed ``w`` twice over."""
+    """Read-only ``C[i, j] = w[(i - j) mod n]``: row i is the window from n - 1 - i of the reversed ``w`` twice over."""
     twice = np.tile(w[::-1], 2)[:-1]
-    return np.lib.stride_tricks.sliding_window_view(twice, w.shape[0])[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(twice, w.shape[0])[::-1]
+
+
+def _first_column(pf: PotentialField) -> np.ndarray:
+    """``w = FFT(v) / n``, the convention of ``transform.forward``: W's first column."""
+    return scipy.fft.fft(pf.values) / pf.values.shape[0]
 
 
 def check_dense_input(n: int, p: int = 0, epsilon: float = 1.0) -> None:
@@ -73,43 +78,35 @@ def check_dense_input(n: int, p: int = 0, epsilon: float = 1.0) -> None:
 def dense_multiplication_operator(pf: PotentialField) -> np.ndarray:
     """W = F diag(v) F^-1, the potential's action in coefficient space: the circulant
     ``W[i, j] = w[(i - j) mod n]`` of ``w = FFT(v) / n`` (the convention of ``transform.forward``)."""
-    n = pf.values.shape[0]
-    check_dense_input(n)
-    return _circulant(scipy.fft.fft(pf.values) / n)
-
-
-def check_circulant_size(n: int) -> None:
-    """Raise ``ValueError`` for n > 2^10, where ``circulant_check``'s dense n x n matrices are not desk-scale."""
-    if n > 1 << 10:
-        raise ValueError(f"lattice has n = {n}; the circulant check is desk-scale (n <= 2^10)")
+    check_dense_input(pf.values.shape[0])
+    return _circulant(_first_column(pf)).copy()
 
 
 def circulant_check(aa: AntiAliasingSet, pf: PotentialField) -> float:
     """Max elementwise deviation between the two multiplication-operator builds.
 
-    Compares ``dense_multiplication_operator``, the circulant of the tabulated
-    potential's FFT, against the circulant of its analytic Fourier coefficients, whose
-    first column is their aliasing sum ``w_j = sum of v_hat(h) over h . z == j``.
-    Only defined for the smooth product potential, whose coefficient support
-    is finite.
+    Compares the circulant of the tabulated potential's FFT against the circulant of its
+    analytic Fourier coefficients, whose first column is their aliasing sum
+    ``w_j = sum of v_hat(h) over h . z == j``; every entry of a circulant is one of its first
+    column's, so the two columns give the same maximum.  Only defined for the smooth
+    product potential, whose coefficient support is finite.
     """
-    check_circulant_size(aa.n)
     if pf.kind != "smooth_v1":
         raise ValueError("analytic-column comparison needs a trigonometric-polynomial potential")
     pf.check_lattice(aa)
-    dense = dense_multiplication_operator(pf)
-    dense -= _circulant(aliasing_oracle(smooth_potential_coefficients(aa.lattice.d), aa).coeffs)
-    return float(np.abs(dense).max())
+    w = _first_column(pf)
+    w -= aliasing_oracle(smooth_potential_coefficients(aa.lattice.d), aa).coeffs
+    return float(np.abs(w).max())
 
 
-def _spectral_norm(M: np.ndarray, iters: int = 50, rtol: float = 1e-8) -> float:
-    """Power iteration on M* M with a fixed seed; returns ||M||_2."""
+def _spectral_norm(normal, n: int, iters: int = 50, rtol: float = 1e-8) -> float:
+    """Power iteration with a fixed seed on ``normal(y) = M^H M y`` for an n x n M; returns ||M||_2."""
     rng = np.random.default_rng(0)
-    y = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y /= np.linalg.norm(y)
     prev = 0.0
     for _ in range(iters):
-        y = np.conj(np.conj(M @ y) @ M)  # M^H (M y) without a conjugate copy of M
+        y = normal(y)
         lam = np.linalg.norm(y)
         if lam == 0.0:
             return 0.0
@@ -121,20 +118,36 @@ def _spectral_norm(M: np.ndarray, iters: int = 50, rtol: float = 1e-8) -> float:
 
 
 def commutator_norm(aa: AntiAliasingSet, pf: PotentialField, p: int, epsilon: float = 1.0) -> float:
-    """Estimate ``|| ad_D^p(W) (D+I)^-p ||_2`` densely.
+    """Estimate ``|| ad_D^p(W) (D+I)^-p ||_2`` by power iteration, without forming the operator.
 
     D is the kinetic diagonal ``2 pi^2 eps ||h_xi||^2`` and W the potential
     multiplication operator divided by eps.  D is diagonal, so the p-fold
-    commutator is W scaled entrywise by ``(d_i - d_j)^p``, here in place by
-    blocks of rows; the spectral norm is estimated by power iteration.
+    commutator M is W scaled entrywise by ``(d_i - d_j)^p``.  Each power step
+    sums ``M_R^H (M_R y)`` over blocks R of 64 rows, each rebuilt from the
+    circulant view of W's first column into three reused 64 x n buffers
+    (8 MiB at the dense limit).
     """
     check_dense_input(aa.n, p, epsilon)
+    n = aa.n
     d_diag = 2.0 * np.pi**2 * epsilon * aa.norms2.astype(np.float64)
     denominator = (d_diag + 1.0) ** p * epsilon
-    M = dense_multiplication_operator(pf)
-    for lo in range(0, aa.n, 64):  # a 64 x n float temporary, 2 MiB at the dense limit
-        M[lo:lo + 64] *= (d_diag[lo:lo + 64, None] - d_diag) ** p / denominator
-    return _spectral_norm(M)
+    W = _circulant(_first_column(pf))
+    diff, scale = np.empty((min(n, 64), n)), np.empty((min(n, 64), n))
+    block = np.empty((min(n, 64), n), dtype=np.complex128)
+
+    def normal(y: np.ndarray) -> np.ndarray:
+        acc = np.zeros(n, dtype=np.complex128)  # conj(M^H M y), summed block by block
+        for lo in range(0, n, 64):
+            t, s, b = (buf[:min(64, n - lo)] for buf in (diff, scale, block))
+            np.subtract(d_diag[lo:lo + 64, None], d_diag, out=t)
+            np.divide(t if p else 1.0, denominator, out=s)
+            for _ in range(p - 1):
+                s *= t
+            np.multiply(W[lo:lo + 64], s, out=b)
+            acc += np.conj(b @ y) @ b
+        return np.conj(acc, out=acc)
+
+    return _spectral_norm(normal, n)
 
 
 def shifted_representatives(aa: AntiAliasingSet) -> AntiAliasingSet:

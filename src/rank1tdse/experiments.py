@@ -82,11 +82,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     def build_lattice(self) -> Rank1Lattice:
         return load_lattice(self.lattice if self.lattice is not None else self.preset)
 

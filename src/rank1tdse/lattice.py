@@ -129,13 +129,6 @@ class Rank1Lattice:
         _blockwise(len(rows), accumulate, np.int64)
         return res
 
-    def in_dual(self, h) -> bool:
-        """True iff ``z . h == 0 (mod n)``, i.e. ``h`` is in the dual lattice."""
-        h = np.asarray(h, dtype=np.int64)
-        if h.shape != (self.d,):
-            raise ValueError(f"frequency vector must have length {self.d}")
-        return int(self.residues(h)) == 0
-
     def to_dict(self) -> dict:
         return {"d": self.d, "n": self.n, "z": list(self.z)}
 

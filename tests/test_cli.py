@@ -40,10 +40,10 @@ def test_lattice_requires_source(capsys):
 #: SHA-256 of the paper-d6 anti-aliasing set (its cache file), max ||h||^2 = 238.
 PAPER_D6_SHA256 = "cb0781160c80c6627e42e3bc5b7ecfb15e4c36cc9d80cb04d1f9e1cbd4fa2768"
 
-# cli.main with the arguments given after it, then the process's own peak RSS
-_REPORT_PEAK = ("import sys; from rank1tdse.cli import main; rc = main(sys.argv[1:]); "
-                "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).strip()); "
-                "sys.exit(rc)")
+_PRINT_PEAK = "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).strip())"
+# the process's peak RSS after importing the CLI, and after cli.main with the arguments given after it
+_IMPORT_PEAK = f"import rank1tdse.cli; {_PRINT_PEAK}"
+_REPORT_PEAK = f"import sys; from rank1tdse.cli import main; rc = main(sys.argv[1:]); {_PRINT_PEAK}; sys.exit(rc)"
 
 
 def _main_peak_kb(python_child, *args, **env):
@@ -312,12 +312,11 @@ def test_diagnose_circulant(tmp_path, capsys):
     assert "max deviation" in capsys.readouterr().out
 
 
-def test_diagnose_circulant_refuses_large_n(tmp_path, capsys):
-    """n > 2^10 is refused in one line, as solve and aaset refuse, not with a traceback."""
-    lat = write_lattice(tmp_path, d=3, n=4096, z=(1, 1571, 1209))
-    with pytest.raises(SystemExit, match=r"^diagnose: lattice has n = 4096; the circulant check is desk-scale"):
-        main(["diagnose", "circulant", "--lattice", lat, "--cache-dir", str(tmp_path / "c")])
-    assert not (tmp_path / "c").exists()
+def test_diagnose_circulant_paper_d2(tmp_path, capsys):
+    """The check compares two n-vectors, so it runs at paper-d2 (n = 2^16) and passes."""
+    rc = main(["diagnose", "circulant", "--preset", "paper-d2", "--cache-dir", str(tmp_path / "c")])
+    assert rc == 0
+    assert float(capsys.readouterr().out.split()[-1]) <= 1e-10
 
 
 def test_diagnose_commutator(tmp_path, capsys):
@@ -328,6 +327,16 @@ def test_diagnose_commutator(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [e["n"] for e in doc["entries"]] == [16, 32]
     assert doc["verdict"] == "bounded"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_diagnose_commutator_holds_no_n_by_n_array(tmp_path, python_child):
+    """A p = 2 check at n = 1024 and 4096 stays within 64 MiB of the import's peak RSS; one dense
+    4096 x 4096 complex operator alone is 256 MiB."""
+    base_kb = int(python_child(_IMPORT_PEAK).split()[1])
+    peak_kb = _main_peak_kb(python_child, "diagnose", "commutator", "--preset", "paper-d2", "--p", "2",
+                            "--n-values", "1024", "4096", "--cache-dir", str(tmp_path))
+    assert peak_kb < base_kb + 64 * 2**10
 
 
 def test_diagnose_commutator_contrast(tmp_path, capsys):

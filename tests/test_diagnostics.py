@@ -12,13 +12,18 @@ from rank1tdse.diagnostics import (
     shifted_representatives,
     _spectral_norm,
 )
-from rank1tdse.lattice import Rank1Lattice, cbc_construct
+from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import make_potential, smooth_potential_coefficients
 from rank1tdse.transform import NodalValues, SpectralState, aliasing_oracle, forward, inverse
 
 
 def v1_for(lat):
     return make_potential("smooth_v1", lat)
+
+
+def dense_norm(M):
+    """``_spectral_norm`` of a dense matrix, its normal operator applied as ``M^H (M y)``."""
+    return _spectral_norm(lambda y: np.conj(np.conj(M @ y) @ M), M.shape[0])
 
 
 def circulant_matrix(w):
@@ -105,10 +110,16 @@ def test_circulant_check_small():
         assert circulant_check(aa, v1_for(lat)) <= 1e-12
 
 
+def test_circulant_check_paper_d2_holds_n_vectors(peak_bytes):
+    """On paper-d2 (n = 2^16) the check compares two n-vectors: deviation <= 1e-10 and a traced peak of
+    at most four complex n-vectors (the two dense circulants it replaced were 2 x 64 GiB)."""
+    lat = load_lattice("paper-d2")
+    aa, pf = antialias.build(lat), v1_for(lat)
+    assert circulant_check(aa, pf) <= 1e-10
+    assert peak_bytes(circulant_check, aa, pf) <= 4 * 16 * lat.n
+
+
 def test_circulant_check_guards():
-    lat = Rank1Lattice(1, 1 << 11, (1,))
-    with pytest.raises(ValueError, match="desk-scale"):
-        circulant_check(antialias.build(lat), v1_for(lat))
     small = Rank1Lattice(2, 5, (1, 3))
     with pytest.raises(ValueError, match="trigonometric"):
         circulant_check(antialias.build(small), make_potential("harmonic_v2", small))
@@ -131,7 +142,7 @@ def test_spectral_norm_of_a_complex_matrix():
     U, V = (np.linalg.qr(rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48)))[0] for _ in "UV")
     s = np.linspace(0.1, 1.0, 48)
     s[0] = 3.0
-    assert abs(_spectral_norm((U * s) @ V.conj().T) - 3.0) < 1e-8
+    assert abs(dense_norm((U * s) @ V.conj().T) - 3.0) < 1e-8
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -143,7 +154,7 @@ def test_commutator_equals_repeated_commutation(p):
     M = dense_multiplication_operator(pf) / eps
     for _ in range(p):
         M = d[:, None] * M - M * d[None, :]
-    want = _spectral_norm(M / (d[None, :] + 1.0) ** p)
+    want = dense_norm(M / (d[None, :] + 1.0) ** p)
     assert abs(commutator_norm(aa, pf, p, eps) - want) <= 1e-12 * want
 
 
@@ -151,7 +162,7 @@ def _oracle_commutator_norm(conjugated_operator, aa, pf, p):
     """The dense path without the library's operator: conjugation, full n x n scaling, power iteration."""
     d = 2.0 * np.pi**2 * aa.norms2.astype(np.float64)
     M = conjugated_operator(pf) * ((d[:, None] - d[None, :]) ** p / (d[None, :] + 1.0) ** p)
-    return _spectral_norm(M)
+    return dense_norm(M)
 
 
 @pytest.mark.parametrize("p", range(5))
@@ -180,12 +191,13 @@ def test_commutator_norm_matches_the_analytic_operator():
     assert abs(commutator_norm(aa, v1_for(lat), 4) - want) <= 1e-12 * want
 
 
-def test_commutator_norm_holds_one_operator(sweep_pairs, peak_bytes):
-    """At n = 1024 the check allocates one n x n complex array (16 MiB) and at most a quarter more."""
-    lat, aa = sweep_pairs[-1]
-    assert lat.n == 1024
-    pf = v1_for(lat)
-    assert peak_bytes(commutator_norm, aa, pf, 2) <= 1.25 * 16 * lat.n**2
+@pytest.mark.parametrize("n, limit_mib", [(1024, 4), (4096, 16)])
+def test_commutator_norm_holds_no_n_by_n_array(peak_bytes, n, limit_mib):
+    """The check holds 64-row blocks, not the operator: its traced peak is at most 4 MiB at n = 1024 and
+    16 MiB at n = 4096, where one n x n complex array is 16 and 256 MiB."""
+    lat = cbc_construct(2, n)
+    aa, pf = antialias.build(lat), v1_for(lat)
+    assert peak_bytes(commutator_norm, aa, pf, 2) <= limit_mib * 2**20
 
 
 def test_commutator_p_validation():

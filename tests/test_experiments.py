@@ -50,7 +50,8 @@ def test_config_file_roundtrip(tmp_path):
     cfg = small_config(tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    again = ExperimentConfig.from_file(path)
+    with open(path) as fh:
+        again = ExperimentConfig.from_dict(json.load(fh))
     assert again.to_dict() == cfg.to_dict()
 
 
