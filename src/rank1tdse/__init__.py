@@ -11,7 +11,7 @@ from .operators import (
     make_potential,
     potential_apply,
 )
-from .splitting import SplittingScheme, empirical_order, evolve, scheme, step
+from .splitting import SplittingScheme, empirical_order, evolve, scheme
 from .transform import (
     NodalValues,
     SpectralState,
@@ -19,7 +19,6 @@ from .transform import (
     evaluate_offlattice,
     forward,
     inverse,
-    l2_norm,
 )
 
 __version__ = "0.1.0"

@@ -239,17 +239,17 @@ def cache_path(lattice: Rank1Lattice, cache_dir) -> Path:
     return Path(cache_dir).expanduser() / name
 
 
-def cached_build(lattice: Rank1Lattice, cache_dir=None, budget: int = 1 << 36) -> AntiAliasingSet:
+def cached_build(lattice: Rank1Lattice, cache_dir=None) -> AntiAliasingSet:
     """Build the set, reusing (or writing) a disk cache when a directory is given."""
     if cache_dir is None:
-        return build(lattice, budget)
+        return build(lattice)
     path = cache_path(lattice, cache_dir)
     if path.exists():
         try:
             return load_cache(path, lattice)
         except ValueError:
             path.unlink()  # corrupt cache: rebuild
-    aa = build(lattice, budget)
+    aa = build(lattice)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_cache(aa, path)
     return aa

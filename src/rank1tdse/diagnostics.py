@@ -6,9 +6,10 @@ analytic aliasing sum for polynomial potentials (two n-vectors, any n);
 (b) nested commutators of the kinetic diagonal with the multiplication
 operator, scaled by ``(D + I)^-p``, stay bounded as n grows when the
 frequency representatives are norm-minimal, and blow up when they are not.
-The scaled operator is never formed: a power step rebuilds it 64 rows at a
-time from a read-only circulant view, so a check holds three 64 x n buffers
-and a power step costs O(n^2) time, n up to the dense limit.
+At p = 0 the norm is read off the potential; otherwise the scaled operator
+is never formed: a power step rebuilds it 64 rows at a time from a read-only
+circulant view, so a check holds three 64 x n buffers and a power step costs
+O(n^2) time, n up to the dense limit.
 """
 
 from __future__ import annotations
@@ -118,16 +119,19 @@ def _spectral_norm(normal, n: int, iters: int = 50, rtol: float = 1e-8) -> float
 
 
 def commutator_norm(aa: AntiAliasingSet, pf: PotentialField, p: int, epsilon: float = 1.0) -> float:
-    """Estimate ``|| ad_D^p(W) (D+I)^-p ||_2`` by power iteration, without forming the operator.
+    """``|| ad_D^p(W) (D+I)^-p ||_2``, exact at p = 0 and by power iteration from p = 1, never forming the operator.
 
     D is the kinetic diagonal ``2 pi^2 eps ||h_xi||^2`` and W the potential
     multiplication operator divided by eps.  D is diagonal, so the p-fold
-    commutator M is W scaled entrywise by ``(d_i - d_j)^p``.  Each power step
-    sums ``M_R^H (M_R y)`` over blocks R of 64 rows, each rebuilt from the
-    circulant view of W's first column into three reused 64 x n buffers
-    (8 MiB at the dense limit).
+    commutator M is W scaled entrywise by ``(d_i - d_j)^p``.  At p = 0, M = W/eps
+    is unitarily similar to ``diag(v)/eps``, so its norm is ``max|v|/eps`` exactly.
+    For p >= 1 each power step sums ``M_R^H (M_R y)`` over blocks R of 64 rows,
+    each rebuilt from the circulant view of W's first column into three reused
+    64 x n buffers (8 MiB at the dense limit).
     """
     check_dense_input(aa.n, p, epsilon)
+    if p == 0:
+        return float(np.abs(pf.values).max()) / epsilon
     n = aa.n
     d_diag = 2.0 * np.pi**2 * epsilon * aa.norms2.astype(np.float64)
     denominator = (d_diag + 1.0) ** p * epsilon
@@ -140,7 +144,7 @@ def commutator_norm(aa: AntiAliasingSet, pf: PotentialField, p: int, epsilon: fl
         for lo in range(0, n, 64):
             t, s, b = (buf[:min(64, n - lo)] for buf in (diff, scale, block))
             np.subtract(d_diag[lo:lo + 64, None], d_diag, out=t)
-            np.divide(t if p else 1.0, denominator, out=s)
+            np.divide(t, denominator, out=s)
             for _ in range(p - 1):
                 s *= t
             np.multiply(W[lo:lo + 64], s, out=b)

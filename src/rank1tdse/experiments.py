@@ -31,7 +31,6 @@ __all__ = [
     "default_cache_dir",
     "run_convergence",
     "emit",
-    "parse",
 ]
 
 CACHE_ENV_VAR = "RANK1TDSE_CACHE_DIR"
@@ -162,32 +161,3 @@ def emit(report: ConvergenceReport, path, fmt: str = "csv") -> None:
     else:
         raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'json'")
 
-
-def parse(path) -> ConvergenceReport:
-    """Read back a report written by :func:`emit` (format inferred from content)."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        rows = [ConvergenceRow(r["m"], r["dt"], r["err"], bool(r["floor_filtered"]))
-                for r in doc["rows"]]
-        return ConvergenceReport(doc["config"], doc["aaset_sha256"], rows, doc["fitted_order"])
-    config = None
-    aaset = ""
-    fitted = None
-    rows = []
-    for line in text.splitlines():
-        if line.startswith("# config: "):
-            config = json.loads(line[len("# config: "):])
-        elif line.startswith("# aaset_sha256: "):
-            aaset = line.split(": ", 1)[1]
-        elif line.startswith("# fitted_order: "):
-            val = line.split(": ", 1)[1]
-            fitted = float(val) if val else None
-        elif not line or line.startswith("#") or line.startswith("m,"):
-            continue
-        else:
-            m, dt, err, ff = line.split(",")
-            rows.append(ConvergenceRow(int(m), float(dt), float(err), bool(int(ff))))
-    if config is None:
-        raise ValueError(f"{path}: missing config header")
-    return ConvergenceReport(config, aaset, rows, fitted)

@@ -105,13 +105,9 @@ class Rank1Lattice:
         col %= self.n
         return col
 
-    def numerators(self) -> np.ndarray:
-        """(n, d) int64 array of exact coordinate numerators."""
-        return np.stack([self.numerator_column(j) for j in range(self.d)], axis=1)
-
     def node_coords(self) -> np.ndarray:
         """(n, d) float64 array of point coordinates in [0, 1)."""
-        return self.numerators() / float(self.n)
+        return np.stack([self.numerator_column(j) for j in range(self.d)], axis=1) / float(self.n)
 
     def residues(self, h) -> np.ndarray:
         """``h . z mod n`` for a (..., d) array of frequency vectors, accumulated in int64 by blocks of rows

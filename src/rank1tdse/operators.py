@@ -16,7 +16,7 @@ The named potentials and the Gaussian packet are sums or products of one 1-D
 factor per coordinate.  Per block of points, the factor is evaluated on one
 coordinate column (k z_j mod n)/n at a time and combined into the result, so
 set-up holds the result and block buffers at any d (from n = 2^20 on a thread
-per CPU).  Only a custom ``func`` gets the (n, d) coordinates.
+per CPU).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class KineticTable:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Potential values at the points of ``lattice``, kind is one of POTENTIAL_KINDS."""
+    """Potential values at the points of ``lattice``; ``make_potential`` names them by one of POTENTIAL_KINDS."""
 
     values: np.ndarray
     kind: str
@@ -252,12 +252,8 @@ def _tabulate(lattice: Rank1Lattice, factor: Callable[[np.ndarray], np.ndarray],
     return acc
 
 
-def make_potential(kind: str, lattice: Rank1Lattice,
-                   func: Callable[[np.ndarray], np.ndarray] | None = None) -> PotentialField:
-    """Tabulate a named potential, or ``func`` of the (n, d) node coordinates, at all lattice points."""
-    if func is not None:
-        values = np.asarray(func(lattice.node_coords()), dtype=np.float64)
-        return PotentialField(values, "custom", lattice)
+def make_potential(kind: str, lattice: Rank1Lattice) -> PotentialField:
+    """Tabulate a named potential (one of ``POTENTIAL_KINDS``) at all lattice points."""
     return PotentialField(_tabulate(lattice, *potential_kind(kind)), kind, lattice)
 
 

@@ -18,7 +18,6 @@ pair, a twiddle buffer per thread made by each call on the four-step pair; see
 
 from __future__ import annotations
 
-import json
 import time as _time
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ __all__ = [
     "EvolutionRecord",
     "SCHEME_NAMES",
     "scheme",
-    "scheme_from_json",
-    "step",
     "evolve",
     "empirical_order",
     "ORDER_FIT_FLOOR",
@@ -145,22 +142,6 @@ def scheme(name: str) -> SplittingScheme:
         return _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown scheme {name!r}; known: {', '.join(_REGISTRY)}") from None
-
-
-def scheme_from_json(doc) -> SplittingScheme:
-    """Build a scheme from ``{name, order, a: [...], b: [...]}`` (dict or JSON text)."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    a, b = doc["a"], doc["b"]
-    if len(a) != len(b):
-        raise ValueError("coefficient lists a and b must have equal length")
-    return SplittingScheme(doc["name"], int(doc["order"]), tuple(zip(map(float, a), map(float, b))))
-
-
-def step(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: PotentialField,
-         dt: float, epsilon: float) -> SpectralState:
-    """One splitting step of size ``dt``; advances the state time by ``dt``."""
-    return evolve(state, sch, kt, pf, 1, dt, epsilon)[0]
 
 
 def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: PotentialField,

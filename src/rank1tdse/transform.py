@@ -28,7 +28,6 @@ __all__ = [
     "inverse",
     "evaluate_offlattice",
     "aliasing_oracle",
-    "l2_norm",
     "vector_norm",
     "save_snapshot",
     "load_snapshot",
@@ -108,11 +107,6 @@ def vector_norm(v: np.ndarray) -> float:
     """
     x = v.view(np.float64)
     return float(np.sqrt(np.einsum("i,i->", x, x)))
-
-
-def l2_norm(state: SpectralState) -> float:
-    """Euclidean norm of the coefficients = L2 norm of the polynomial (Parseval)."""
-    return vector_norm(state.coeffs)
 
 
 def save_snapshot(state: SpectralState, path) -> None:

@@ -13,7 +13,7 @@ from rank1tdse.diagnostics import (
     _spectral_norm,
 )
 from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
-from rank1tdse.operators import make_potential, smooth_potential_coefficients
+from rank1tdse.operators import PotentialField, make_potential, smooth_potential_coefficients
 from rank1tdse.transform import NodalValues, SpectralState, aliasing_oracle, forward, inverse
 
 
@@ -73,7 +73,7 @@ def test_dense_operator_equals_conjugation(conjugated_operator, d, n, z, kind):
 
 def test_dense_operator_of_constant_potential():
     lat = Rank1Lattice(1, 8, (1,))
-    pf = make_potential(None, lat, func=lambda x: np.full(len(x), 3.0))
+    pf = PotentialField(np.full(lat.n, 3.0), "custom", lat)
     W = dense_multiplication_operator(pf)
     assert np.abs(W - 3.0 * np.eye(8)).max() < 1e-13
 
@@ -136,6 +136,16 @@ def test_commutator_p0_is_operator_norm():
     assert abs(got - want) < 1e-8 * want
 
 
+@pytest.mark.parametrize("eps", [1.0, 0.7])
+def test_commutator_p0_is_max_potential_over_epsilon(eps):
+    """At p = 0, M = W / eps is unitarily similar to diag(v) / eps: the norm is max |v| / eps exactly,
+    4 / eps for the smooth potential on the CBC d = 2, n = 1024 set (the capped power iteration read 3.98756)."""
+    lat = cbc_construct(2, 1024)
+    pf = v1_for(lat)
+    assert np.abs(pf.values).max() == 4.0
+    assert commutator_norm(antialias.build(lat), pf, 0, eps) == 4.0 / eps
+
+
 def test_spectral_norm_of_a_complex_matrix():
     """The power iteration applies M^H, not M^T: a complex M = U diag(s) V^H with ||M||_2 = 3."""
     rng = np.random.default_rng(5)
@@ -159,10 +169,10 @@ def test_commutator_equals_repeated_commutation(p):
 
 
 def _oracle_commutator_norm(conjugated_operator, aa, pf, p):
-    """The dense path without the library's operator: conjugation, full n x n scaling, power iteration."""
+    """The dense path without the library's operator: conjugation, full n x n scaling, exact 2-norm."""
     d = 2.0 * np.pi**2 * aa.norms2.astype(np.float64)
     M = conjugated_operator(pf) * ((d[:, None] - d[None, :]) ** p / (d[None, :] + 1.0) ** p)
-    return dense_norm(M)
+    return np.linalg.norm(M, 2)
 
 
 @pytest.mark.parametrize("p", range(5))

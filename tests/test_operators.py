@@ -22,7 +22,7 @@ from rank1tdse.operators import (
     smooth_potential_coefficients,
 )
 from rank1tdse.splitting import SCHEME_NAMES, scheme
-from rank1tdse.transform import SpectralState, aliasing_oracle, inverse, l2_norm
+from rank1tdse.transform import SpectralState, aliasing_oracle, inverse, vector_norm
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def test_kinetic_table_is_bounded_by_n_in_d1():
     assert kt.rates.size <= aa.n and kt.index.shape == (aa.n,)
     assert np.array_equal(kt.phases_base, 2.0 * np.pi**2 * 0.5 * aa.norms2)
     out = kinetic_apply(random_state(aa), kt, a=0.7, dt=0.3)
-    assert abs(l2_norm(out) - 1.0) < 1e-12
+    assert abs(vector_norm(out.coeffs) - 1.0) < 1e-12
 
 
 def test_kinetic_table_over_all_norms_equals_distinct_norms(small):
@@ -109,7 +109,7 @@ def test_kinetic_preserves_norm(small):
     kt = make_kinetic(aa)
     st = random_state(aa, 3)
     out = kinetic_apply(st, kt, a=0.4, dt=0.01)
-    assert abs(l2_norm(out) - 1.0) < 1e-13
+    assert abs(vector_norm(out.coeffs) - 1.0) < 1e-13
 
 
 def _deal_blocks(monkeypatch, workers):
@@ -148,6 +148,11 @@ def test_kinetic_stage_blocks_round_as_one_product(monkeypatch):
         assert (len(threads) > 1) == (workers > 1)
 
 
+def _custom(lat, func):
+    """A potential of any ``func`` of the (n, d) node coordinates."""
+    return PotentialField(np.asarray(func(lat.node_coords()), float), "custom", lat)
+
+
 def _custom_with_zeros(x):
     """Negative values and exact zeros (a zero potential value makes a signed-zero argument)."""
     return np.where(x[:, 0] < 0.3, 0.0, np.sin(7.0 * x[:, 0]) - 0.4)
@@ -166,7 +171,7 @@ def test_potential_phases_bit_identical_to_complex_product(lat):
     in the stage's order (paper-d2, n = 2^16, runs the four-step pair)."""
     order = _stage_order(lat.n)
     fields = [make_potential("smooth_v1", lat), make_potential("harmonic_v2", lat),
-              make_potential(None, lat, func=_custom_with_zeros)]
+              _custom(lat, _custom_with_zeros)]
     assert np.any(fields[2].values == 0.0) and np.any(fields[2].values < 0.0)
     weights = sorted({b for name in SCHEME_NAMES for _, b in scheme(name).stages} - {0.0})
     for pf in fields:
@@ -301,7 +306,7 @@ def test_potential_zero_coefficient_is_identity(small):
 
 def test_constant_potential_is_global_phase(small):
     lat, aa = small
-    pf = make_potential(None, lat, func=lambda x: np.full(len(x), 2.5))
+    pf = _custom(lat, lambda x: np.full(len(x), 2.5))
     st = random_state(aa, 2)
     out = potential_apply(st, pf, b=0.3, dt=0.2, epsilon=1.0)
     assert np.abs(out.coeffs - st.coeffs * np.exp(-1j * 0.3 * 0.2 * 2.5)).max() < 1e-13
@@ -312,7 +317,7 @@ def test_potential_preserves_norm(small):
     pf = make_potential("harmonic_v2", lat)
     st = random_state(aa, 4)
     out = potential_apply(st, pf, b=0.9, dt=0.05, epsilon=1.0)
-    assert abs(l2_norm(out) - 1.0) < 1e-13
+    assert abs(vector_norm(out.coeffs) - 1.0) < 1e-13
 
 
 def test_potential_matches_dense_matrix_exponential(small):
@@ -372,7 +377,7 @@ def test_smooth_potential_is_its_own_truncation(small):
 def test_gaussian_unit_norm(small):
     _, aa = small
     st = make_gaussian(aa, epsilon=1.0)
-    assert abs(l2_norm(st) - 1.0) < 1e-14
+    assert abs(vector_norm(st.coeffs) - 1.0) < 1e-14
 
 
 def test_gaussian_peak_at_center(small):
@@ -448,15 +453,15 @@ def test_tabulation_within_4_ulp_of_row_formulas_from_d8(d):
 
 def test_custom_potential_gets_node_coordinates(small):
     lat, _ = small
-    pf = make_potential(None, lat, func=_row_harmonic)
+    pf = _custom(lat, _row_harmonic)
     assert pf.kind == "custom" and np.array_equal(pf.values, make_potential("harmonic_v2", lat).values)
 
 
 def test_custom_potential_of_wrong_shape_rejected(small):
-    """A ``func`` returning the (n, d) coordinates themselves is refused at tabulation."""
+    """Values of the (n, d) coordinates themselves are refused by ``PotentialField``."""
     lat, _ = small
     with pytest.raises(ValueError, match=r"shape \(64, 2\)"):
-        make_potential(None, lat, func=lambda x: x)
+        _custom(lat, lambda x: x)
 
 
 def test_tabulation_memory_is_order_n(peak_bytes):

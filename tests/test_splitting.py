@@ -23,10 +23,8 @@ from rank1tdse.splitting import (
     empirical_order,
     evolve,
     scheme,
-    scheme_from_json,
-    step,
 )
-from rank1tdse.transform import SpectralState, l2_norm
+from rank1tdse.transform import SpectralState, vector_norm
 
 
 @pytest.fixture(scope="module")
@@ -89,18 +87,10 @@ def test_bad_stage_sums_rejected():
         SplittingScheme("bad", 2, ((0.5, 1.0), (0.4, 0.0)))
 
 
-def test_scheme_from_json():
-    doc = '{"name": "half", "order": 1, "a": [0.5, 0.5], "b": [1.0, 0.0]}'
-    sch = scheme_from_json(doc)
-    assert sch.stages == ((0.5, 1.0), (0.5, 0.0))
-    with pytest.raises(ValueError, match="equal length"):
-        scheme_from_json({"name": "x", "order": 1, "a": [1.0], "b": [0.5, 0.5]})
-
-
 def test_strang_is_potential_kinetic_potential(setup):
     s = setup
     dt = 0.05
-    got = step(s["st"], scheme("strang"), s["kt"], s["pf"], dt, 1.0)
+    got = evolve(s["st"], scheme("strang"), s["kt"], s["pf"], 1, dt, 1.0)[0]
     want = potential_apply(
         kinetic_apply(potential_apply(s["st"], s["pf"], 0.5, dt, 1.0), s["kt"], 1.0, dt),
         s["pf"], 0.5, dt, 1.0)
@@ -109,7 +99,7 @@ def test_strang_is_potential_kinetic_potential(setup):
 
 def test_step_advances_time(setup):
     s = setup
-    out = step(s["st"], scheme("strang"), s["kt"], s["pf"], 0.25, 1.0)
+    out = evolve(s["st"], scheme("strang"), s["kt"], s["pf"], 1, 0.25, 1.0)[0]
     assert out.time == 0.25
 
 
@@ -118,7 +108,7 @@ def test_evolve_equals_repeated_step(setup):
     sch = scheme("s9odr6a")
     st = s["st"]
     for _ in range(5):
-        st = step(st, sch, s["kt"], s["pf"], 0.1, 1.0)
+        st = evolve(st, sch, s["kt"], s["pf"], 1, 0.1, 1.0)[0]
     out, rec = evolve(s["st"], sch, s["kt"], s["pf"], 5, 0.1, 1.0)
     assert np.abs(out.coeffs - st.coeffs).max() < 1e-13
     assert rec.steps_taken == 5 and rec.dt == 0.1
@@ -129,7 +119,7 @@ def test_evolve_preserves_norm(setup):
     s = setup
     for name in SCHEME_NAMES:
         out, rec = evolve(s["st"], scheme(name), s["kt"], s["pf"], 100, 0.01, 1.0)
-        assert abs(l2_norm(out) - 1.0) < 1e-12
+        assert abs(vector_norm(out.coeffs) - 1.0) < 1e-12
         assert abs(rec.final_norm - 1.0) < 1e-12
 
 
@@ -144,7 +134,7 @@ def test_size_mismatch_rejected(setup):
     other = Rank1Lattice(2, 5, (1, 3))
     pf = make_potential("smooth_v1", other)
     with pytest.raises(ValueError, match="sizes disagree"):
-        step(s["st"], scheme("strang"), s["kt"], pf, 0.1, 1.0)
+        evolve(s["st"], scheme("strang"), s["kt"], pf, 1, 0.1, 1.0)
 
 
 def test_kinetic_table_from_another_set_rejected(setup):
@@ -189,8 +179,7 @@ def test_epsilon_other_than_the_kinetic_table_rejected(setup):
 
 
 # Not palindromic; repeated a and b weights, a zero b and a nonzero last a.
-_UNEVEN = scheme_from_json({"name": "uneven", "order": 1,
-                            "a": [0.3, 0.3, 0.1, 0.3], "b": [0.2, 0.6, 0.2, 0.0]})
+_UNEVEN = SplittingScheme("uneven", 1, ((0.3, 0.2), (0.3, 0.6), (0.1, 0.2), (0.3, 0.0)))
 
 
 def _reference_evolve(st, sch, kt, pf, m, dt, epsilon):
