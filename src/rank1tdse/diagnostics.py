@@ -6,7 +6,7 @@ analytic aliasing sum for polynomial potentials (two n-vectors, any n);
 (b) nested commutators of the kinetic diagonal with the multiplication
 operator, scaled by ``(D + I)^-p``, stay bounded as n grows when the
 frequency representatives are norm-minimal, and blow up when they are not.
-At p = 0 the norm is read off the potential; otherwise the scaled operator
+At p = 0 the norm is read off the potential at any n; otherwise the scaled operator
 is never formed: a power step rebuilds it 64 rows at a time from a read-only
 circulant view, so a check holds three 64 x n buffers and a power step costs
 O(n^2) time, n up to the dense limit.
@@ -68,8 +68,8 @@ def _first_column(pf: PotentialField) -> np.ndarray:
 
 
 def check_dense_input(n: int, p: int = 0, epsilon: float = 1.0) -> None:
-    """Raise ``ValueError`` for n above the dense limit, a commutator order p outside 0..4 or epsilon <= 0."""
-    if n > _DENSE_LIMIT:
+    """Raise ``ValueError`` for n above the dense limit at p >= 1, a commutator order p outside 0..4 or epsilon <= 0."""
+    if p >= 1 and n > _DENSE_LIMIT:
         raise ValueError(f"n = {n} too large for dense assembly (limit {_DENSE_LIMIT})")
     if not 0 <= p <= 4:
         raise ValueError("commutator order p must be in 0..4")
@@ -79,7 +79,7 @@ def check_dense_input(n: int, p: int = 0, epsilon: float = 1.0) -> None:
 def dense_multiplication_operator(pf: PotentialField) -> np.ndarray:
     """W = F diag(v) F^-1, the potential's action in coefficient space: the circulant
     ``W[i, j] = w[(i - j) mod n]`` of ``w = FFT(v) / n`` (the convention of ``transform.forward``)."""
-    check_dense_input(pf.values.shape[0])
+    check_dense_input(pf.values.shape[0], p=1)  # holds the n x n array: the limit of p >= 1
     return _circulant(_first_column(pf)).copy()
 
 

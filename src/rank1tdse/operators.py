@@ -50,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KineticTable:
-    """Kinetic rates ``2 pi^2 eps ||h||^2`` (at most n); residue k has ``rates[index[k]]``."""
+    """Kinetic rates ``2 pi^2 eps ||h||^2``, one per norm (``make_kinetic``); residue k has ``rates[index[k]]``."""
 
     epsilon: float
     norms2: np.ndarray
@@ -114,13 +114,16 @@ def check_epsilon(epsilon: float) -> None:
 
 
 def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
+    """One rate per norm 0..max||h||^2 while at least half of them occur in the set (``index`` is then
+    ``aa.norms2``), else one per norm that occurs, at most n: by one ``bincount`` below n, by a sort from
+    n on (d = 1, non-minimal sets: up to n^2/4).  The index is intp: a narrower one is cast per block."""
     check_epsilon(epsilon)
-    # one rate per norm 0..max||h||^2 while that is no longer than the set (no sort needed);
-    # else (d = 1, non-minimal sets: up to n^2/4) one per distinct norm, so at most n
-    if aa.max_norm2() < aa.n:
-        norms, index = np.arange(aa.max_norm2() + 1), aa.norms2
-    else:
+    if (top := aa.max_norm2()) >= aa.n:
         norms, index = np.unique(aa.norms2, return_inverse=True)
+    elif 2 * np.count_nonzero(present := np.bincount(aa.norms2) > 0) > top:
+        norms, index = np.arange(top + 1), aa.norms2
+    else:
+        norms, index = np.flatnonzero(present), (np.cumsum(present) - 1)[aa.norms2]
     return KineticTable(epsilon, aa.norms2, 2.0 * np.pi**2 * epsilon * norms, index)
 
 

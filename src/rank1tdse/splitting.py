@@ -7,13 +7,14 @@ to one, and stages with a zero weight are skipped (no transform executed).
 
 Each ``evolve`` call builds one stage plan for all its steps, so pass m steps
 rather than looping over single steps.  The plan holds one phase n-vector per
-distinct nonzero ``b`` and one phase table over the kinetic table's rates (at
-most n) per distinct nonzero ``a``.  The stages run in place on one evolving
-copy of the state: a kinetic stage gathers its phases block by block, and a
-potential stage runs its FFT pair (with pocketfft's n-vector of scratch on the 1-D
-pair, a twiddle buffer per thread made by each call on the four-step pair; see
-``SplittingScheme.plan_vectors``).  Both, and the phase build, run on
-``EvolutionRecord.workers`` = ``lattice.stage_workers(n)`` threads.
+distinct nonzero ``b`` and one phase table over the kinetic table's rates (one
+per squared norm, at most n) per distinct nonzero ``a``.  The stages run in
+place on one evolving copy of the state: a kinetic stage gathers its phases
+block by block, and a potential stage runs its FFT pair (with pocketfft's
+n-vector of scratch on the 1-D pair, a twiddle buffer per thread made by each
+call on the four-step pair; see ``SplittingScheme.plan_vectors``).  Both, and
+the phase build, run on ``EvolutionRecord.workers`` = ``lattice.stage_workers(n)``
+threads.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class SplittingScheme:
         """Complex n-vectors ``evolve`` holds at length n: one per distinct nonzero b, state,
         copy, and pocketfft's scratch where the potential stage runs the 1-D pair.
 
-        Not counted: one kinetic phase table per distinct nonzero a, over max ||h||^2 + 1 rates
-        (at most n), which for ``s17odr8a`` on ``paper-d2`` is 5 n-vectors more, and the four-step
+        Not counted: one kinetic phase table per distinct nonzero a over the table's rates (at most n;
+        on ``paper-d2`` the 8 277 norms it holds, 1.1 n-vectors for ``s17odr8a``), and the four-step
         pair's twiddle tables and block buffer per thread, made by each stage call (n/2 at 2^16;
         n/8 at 2^20, n/16 at 2^24 on two)."""
         return len({b for _, b in self.stages} - {0.0}) + 2 + (four_step_split(n) is None)

@@ -339,6 +339,14 @@ def test_diagnose_commutator_holds_no_n_by_n_array(tmp_path, python_child):
     assert peak_kb < base_kb + 64 * 2**10
 
 
+def test_diagnose_commutator_p0_above_the_dense_limit(tmp_path, capsys):
+    """The dense limit bounds the p >= 1 power steps; p = 0 reads max|v| / eps at any n."""
+    rc = main(["diagnose", "commutator", "--preset", "paper-d2", "--p", "0",
+               "--n-values", "8192", "--cache-dir", str(tmp_path / "c")])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == [{"n": 8192, "norm": 4.0}]
+
+
 def test_diagnose_commutator_contrast(tmp_path, capsys):
     lat = write_lattice(tmp_path)
     rc = main(["diagnose", "commutator", "--lattice", lat, "--p", "2", "--contrast",

@@ -146,6 +146,13 @@ def test_commutator_p0_is_max_potential_over_epsilon(eps):
     assert commutator_norm(antialias.build(lat), pf, 0, eps) == 4.0 / eps
 
 
+def test_commutator_p0_has_no_dense_limit():
+    """At p = 0 the check is one pass over the potential, so n = 8192, above the p >= 1 limit, runs."""
+    lat = Rank1Lattice(1, 8192, (1,))
+    pf = v1_for(lat)
+    assert commutator_norm(antialias.build(lat), pf, 0, 0.5) == np.abs(pf.values).max() / 0.5
+
+
 def test_spectral_norm_of_a_complex_matrix():
     """The power iteration applies M^H, not M^T: a complex M = U diag(s) V^H with ||M||_2 = 3."""
     rng = np.random.default_rng(5)

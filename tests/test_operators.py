@@ -87,6 +87,24 @@ def test_kinetic_table_over_all_norms_equals_distinct_norms(small):
                           np.exp(-1j * 0.7 * 0.3 * (2.0 * np.pi**2 * norms))[index])
 
 
+def test_kinetic_table_keeps_the_dense_layout_while_half_the_norms_occur(small):
+    """The small set holds 15 of the norms 0..26, the CBC d = 3, n = 2^10 set 53 of 0..65: one rate per
+    norm 0..max, and the set's own array as the index."""
+    lat = cbc_construct(3, 2**10)
+    for aa in (small[1], antialias.build(lat)):
+        kt = make_kinetic(aa)
+        assert kt.index is aa.norms2 and kt.rates.size == aa.max_norm2() + 1
+
+
+def test_kinetic_table_over_the_norms_that_occur():
+    """paper-d2 holds 8 277 of the norms 0..36 424: one rate per norm that occurs, an intp index, and
+    the same per-residue rates as the dense layout."""
+    aa = antialias.build(load_lattice("paper-d2"))
+    kt = make_kinetic(aa, epsilon=0.5)
+    assert kt.rates.size == np.unique(aa.norms2).size == 8277 and kt.index.dtype == np.intp
+    assert np.array_equal(kt.phases_base, 2.0 * np.pi**2 * 0.5 * aa.norms2)
+
+
 def test_kinetic_zero_coefficient_is_identity(small):
     _, aa = small
     kt = make_kinetic(aa)
