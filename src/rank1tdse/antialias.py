@@ -6,7 +6,8 @@ with the smallest Euclidean norm, the lexicographically first among ties,
 so the set is reproducible bit for bit.  :func:`build` computes it from that
 definition with a min-plus recursion over the residues, in O(n d) memory: the
 set itself plus two n-vectors of packed (norm, t) keys, int32 unless the
-coordinate bound is large.
+coordinate bound is large.  The set holds h and ||h||^2 each in the narrowest
+integer type that holds them (``_narrow``): int8 and int16 at ``paper-d4``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +46,8 @@ class AntiAliasingSet:
     """Frequency table ``freq[xi] = h_xi`` with ``h_xi . z == xi (mod n)``."""
 
     lattice: Rank1Lattice
-    freq: np.ndarray    # (n, d) int32
-    norms2: np.ndarray  # (n,) int64, squared l2 norms
+    freq: np.ndarray    # (n, d), built and loaded in ``_narrow(max |h_j|)``
+    norms2: np.ndarray  # (n,) squared l2 norms, built and loaded in ``_narrow(max ||h||^2)``
 
     def __post_init__(self) -> None:
         n, d = self.lattice.n, self.lattice.d
@@ -77,15 +79,22 @@ def _zhash(lattice: Rank1Lattice) -> int:
     return int.from_bytes(hashlib.sha256(raw).digest()[:8], "little")
 
 
+def _narrow(*values: int) -> type:
+    """The narrowest of int8, int16, int32 and int64 that holds +- each of ``values``."""
+    bound = max(abs(int(v)) for v in values)
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
 def _norms2(freq: np.ndarray) -> np.ndarray:
-    """Squared l2 norms of the rows of ``freq``, accumulated column by column in int64, by blocks of rows."""
-    norms2 = np.zeros(len(freq), dtype=np.int64)
+    """Squared l2 norms of the rows of ``freq`` in ``_narrow`` of the largest: squared in int64 column by
+    column, by blocks of rows, into ``_narrow(d max|h_j|^2)``, and cast once more where that is wider."""
+    norms2 = np.zeros(len(freq), _narrow(freq.shape[1] * max(-int(freq.min()), int(freq.max())) ** 2))
 
     def accumulate(lo: int, hi: int, square: np.ndarray) -> None:
         for col in freq[lo:hi].T:
             norms2[lo:hi] += np.square(col, out=square, dtype=np.int64)
     _blockwise(len(freq), accumulate, np.int64)
-    return norms2
+    return norms2.astype(_narrow(norms2.max()), copy=False)
 
 
 def _initial_r2(d: int, n: int) -> int:
@@ -158,14 +167,15 @@ def build(lattice: Rank1Lattice, budget: int = 1 << 36) -> AntiAliasingSet:
     in total, ``(2R + 1) (1 + (d - 1) n)`` per pass, would exceed ``budget``.
     """
     n, d = lattice.n, lattice.d
-    # the result first: the passes' scratch then lies above it on the heap, where later arrays reuse it
-    freq, norms2 = np.zeros((n, d), dtype=np.int32), np.empty(n, dtype=np.int64)
-    radius, examined = math.isqrt(_initial_r2(d, n)) + 2, 0
+    radius, examined, freq = math.isqrt(_initial_r2(d, n)) + 2, 0, None
     while True:
         pairs = (2 * radius + 1) * (1 + (d - 1) * n)
         if examined + pairs > budget:
             raise BudgetExceededError(f"a pass at R = {radius} needs {pairs} pairs, {budget - examined} left")
         examined += pairs
+        if freq is None or (freq.dtype, norms2.dtype) != (_narrow(radius), _narrow(d * radius * radius + 1)):
+            # the result first, anew where R outgrows its types: the passes' scratch then lies above it on the heap
+            freq, norms2 = np.zeros((n, d), _narrow(radius)), np.empty(n, _narrow(d * radius * radius + 1))
         _min_plus(lattice, radius, freq, norms2)
         top = int(norms2.max())
         if top > d * radius * radius:  # a residue is unreached
@@ -187,14 +197,15 @@ def build(lattice: Rank1Lattice, budget: int = 1 << 36) -> AntiAliasingSet:
             freq[lo:hi, k] = chosen[blk]
         _blockwise(n, read_back, np.int64, block=_BLOCK)
     del res  # before the set's own residue check
-    return AntiAliasingSet(lattice, freq, norms2)
+    return AntiAliasingSet(lattice, *(a.astype(_narrow(a.min(), a.max()), copy=False) for a in (freq, norms2)))
 
 
-def _serialize(aa: AntiAliasingSet) -> tuple[bytes, np.ndarray]:
-    """Header and little-endian int32 frequency table, the cache file's two parts."""
+def _serialize(aa: AntiAliasingSet) -> Iterator[bytes | np.ndarray]:
+    """The cache file's bytes: header, then the little-endian int32 frequency table by ``_BLOCK`` rows."""
     lat = aa.lattice
-    header = _MAGIC + struct.pack("<IQQ", lat.d, lat.n, _zhash(lat))
-    return header, np.ascontiguousarray(aa.freq, dtype="<i4")
+    yield _MAGIC + struct.pack("<IQQ", lat.d, lat.n, _zhash(lat))
+    for lo in range(0, lat.n, _BLOCK):
+        yield np.ascontiguousarray(aa.freq[lo:lo + _BLOCK], dtype="<i4")
 
 
 def _write_atomic(path, parts) -> None:
@@ -230,7 +241,12 @@ def load_cache(path, lattice: Rank1Lattice) -> AntiAliasingSet:
         size, expected = os.fstat(fh.fileno()).st_size, 26 + 4 * n * d
         if size != expected:
             raise ValueError(f"{path}: truncated cache ({size} bytes, expected {expected})")
-        freq = np.fromfile(fh, dtype="<i4", count=n * d).reshape(n, d).astype(np.int32, copy=False)
+        # the int32 table twice by blocks of rows: for its largest |h_j|, then into _narrow of it
+        blocks, read = range(0, n, _BLOCK), lambda lo: np.fromfile(fh, "<i4", min(_BLOCK, n - lo) * d).reshape(-1, d)
+        freq = np.empty((n, d), _narrow(*(f(b) for b in map(read, blocks) for f in (np.min, np.max))))
+        fh.seek(26)
+        for lo in blocks:
+            freq[lo:lo + _BLOCK] = read(lo)
     return AntiAliasingSet(lattice, freq, _norms2(freq))
 
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft
 
-from .antialias import AntiAliasingSet
+from .antialias import AntiAliasingSet, _narrow
 from .lattice import Rank1Lattice, _blockwise, stage_workers
 from .transform import SpectralState
 
@@ -115,15 +115,19 @@ def check_epsilon(epsilon: float) -> None:
 
 def make_kinetic(aa: AntiAliasingSet, epsilon: float = 1.0) -> KineticTable:
     """One rate per norm 0..max||h||^2 while at least half of them occur in the set (``index`` is then
-    ``aa.norms2``), else one per norm that occurs, at most n: by one ``bincount`` below n, by a sort from
-    n on (d = 1, non-minimal sets: up to n^2/4).  The index is intp: a narrower one is cast per block."""
+    ``aa.norms2``), else one per norm that occurs: below n found by a mask filled by blocks, with an index in
+    ``_narrow`` of the table size (int16 on ``paper-d2``); from n on by a sort (d = 1, non-minimal sets)."""
     check_epsilon(epsilon)
     if (top := aa.max_norm2()) >= aa.n:
         norms, index = np.unique(aa.norms2, return_inverse=True)
-    elif 2 * np.count_nonzero(present := np.bincount(aa.norms2) > 0) > top:
-        norms, index = np.arange(top + 1), aa.norms2
     else:
-        norms, index = np.flatnonzero(present), (np.cumsum(present) - 1)[aa.norms2]
+        present = np.zeros(top + 1, dtype=bool)
+        _blockwise(aa.n, lambda lo, hi: present.__setitem__(aa.norms2[lo:hi], True), block=_BLOCK)
+        norms, index = np.arange(top + 1), aa.norms2
+        if 2 * np.count_nonzero(present) <= top:  # slot[norm] is the norm's place in the compact table
+            norms = np.flatnonzero(present)
+            slot, index = np.cumsum(present, dtype=_narrow(norms.size)) - 1, np.empty(aa.n, _narrow(norms.size))
+            _blockwise(aa.n, lambda lo, hi: slot.take(aa.norms2[lo:hi], out=index[lo:hi]), block=_BLOCK)
     return KineticTable(epsilon, aa.norms2, 2.0 * np.pi**2 * epsilon * norms, index)
 
 
@@ -133,10 +137,10 @@ _FOUR_STEP_MIN = 1 << 15  # the four-step pair from n = 2^15, timed on powers of
 
 
 def kinetic_stage(coeffs: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``coeffs *= table[index]`` in place, one block of residues at a time (``lattice._blockwise``)."""
+    """``coeffs *= table.take(index)`` in place, one block of residues at a time (``lattice._blockwise``)."""
     def multiply(lo: int, hi: int) -> None:
         block = coeffs[lo:hi]
-        block *= table[index[lo:hi]]
+        block *= table.take(index[lo:hi])
     _blockwise(coeffs.size, multiply, block=_BLOCK)
     return coeffs
 

@@ -31,7 +31,7 @@ def _check_character_property() -> None:
     x = lat.node_coords()
     for xi in (0, 1, 17, 63):
         for xi2 in (0, 1, 17, 63):
-            s = np.mean(np.exp(2j * np.pi * (x @ (aa.freq[xi] - aa.freq[xi2]))))
+            s = np.mean(np.exp(2j * np.pi * (x @ (aa.freq[xi].astype(np.int64) - aa.freq[xi2]))))
             assert abs(s - (1.0 if xi == xi2 else 0.0)) < 1e-12
 
 

@@ -62,10 +62,10 @@ class SplittingScheme:
         """Complex n-vectors ``evolve`` holds at length n: one per distinct nonzero b, state,
         copy, and pocketfft's scratch where the potential stage runs the 1-D pair.
 
-        Not counted: one kinetic phase table per distinct nonzero a over the table's rates (at most n;
-        on ``paper-d2`` the 8 277 norms it holds, 1.1 n-vectors for ``s17odr8a``), and the four-step
-        pair's twiddle tables and block buffer per thread, made by each stage call (n/2 at 2^16;
-        n/8 at 2^20, n/16 at 2^24 on two)."""
+        Not counted: the set (``paper-d4``: 6 MiB, 0.375 n-vectors), the kinetic index (int16 on ``paper-d2``),
+        one kinetic phase table per distinct nonzero a over the rates (at most n; ``paper-d2``'s 8 277 norms:
+        1.1 n-vectors for ``s17odr8a``), and the four-step pair's twiddle tables and block buffer per thread,
+        made by each stage call (n/2 at 2^16; n/8 at 2^20, n/16 at 2^24 on two)."""
         return len({b for _, b in self.stages} - {0.0}) + 2 + (four_step_split(n) is None)
 
 

@@ -1,10 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from rank1tdse import antialias
-from rank1tdse.lattice import Rank1Lattice, cbc_construct
+from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,44 @@ def test_build_equals_whole_ball_reference(oracle_case, variant, monkeypatch):
     elif variant == "int64":
         monkeypatch.setattr(antialias, "_key_dtype", lambda d, radius: np.int64)
     aa = antialias.build(lat)
-    assert np.array_equal(aa.freq, freq) and aa.freq.dtype == np.int32
-    assert np.array_equal(aa.norms2, norms2) and aa.norms2.dtype == np.int64
+    assert np.array_equal(aa.freq, freq) and aa.freq.dtype == _narrowest(freq)
+    assert np.array_equal(aa.norms2, norms2) and aa.norms2.dtype == _narrowest(norms2)
+
+
+def _narrowest(a):
+    """The narrowest signed integer type holding -(max |a| + 1), so +-max |a|: numpy's own rule."""
+    return np.min_scalar_type(-int(np.abs(a).max()) - 1)
+
+
+@pytest.mark.parametrize("n, dtype", [(255, np.int8), (256, np.int16)])
+def test_narrowest_type_at_the_int8_edge(n, dtype):
+    """d = 1, n = 255 holds h in [-127, 127], which int8 holds either sign of; n = 256 holds h = -128."""
+    aa = antialias.build(Rank1Lattice(1, n, (1,)))
+    assert aa.freq.dtype == dtype and int(aa.freq.min()) == -(n // 2)
+    assert aa.norms2.dtype == np.int16 and aa.max_norm2() == (n // 2) ** 2
+
+
+def test_preset_sets_hold_the_narrowest_types():
+    """``paper-d2`` holds its vectors in int16 and norms up to 36 424 in int32, ``paper-d4`` int8 and int16."""
+    for name, types in (("paper-d2", (np.int16, np.int32)), ("paper-d4", (np.int8, np.int16))):
+        aa = antialias.build(load_lattice(name))
+        assert (aa.freq.dtype, aa.norms2.dtype) == types
+
+
+@pytest.mark.parametrize("lat", [Rank1Lattice(1, 256, (1,)), Rank1Lattice(2, 1024, (1, 275)),
+                                 Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))], ids=["d1", "d2", "d4"])
+def test_cache_holds_the_int32_bytes_and_loads_the_built_types(tmp_path, lat):
+    """The cache file and ``sha256()`` are those of the set's int32 copy, and loading gives the built set's
+    types and values back."""
+    aa = antialias.build(lat)
+    wide = antialias.AntiAliasingSet(lat, aa.freq.astype(np.int32), aa.norms2.astype(np.int64))
+    antialias.save_cache(aa, tmp_path / "narrow.bin")
+    antialias.save_cache(wide, tmp_path / "wide.bin")
+    assert (tmp_path / "narrow.bin").read_bytes() == (tmp_path / "wide.bin").read_bytes()
+    assert aa.sha256() == wide.sha256()
+    for loaded in (antialias.load_cache(tmp_path / name, lat) for name in ("narrow.bin", "wide.bin")):
+        assert (loaded.freq.dtype, loaded.norms2.dtype) == (aa.freq.dtype, aa.norms2.dtype)
+        assert np.array_equal(loaded.freq, aa.freq) and np.array_equal(loaded.norms2, aa.norms2)
 
 
 def test_key_width_follows_d_and_radius():
@@ -256,6 +293,32 @@ def test_load_cache_memory_is_table_plus_norms(tmp_path, peak_bytes):
     path = tmp_path / "aa.bin"
     antialias.save_cache(antialias.build(lat), path)
     assert peak_bytes(antialias.load_cache, path, lat) <= 2 * (4 * lat.n * lat.d + 8 * lat.n)
+
+
+def test_load_cache_memory_is_the_narrow_set_plus_its_check(tmp_path, peak_bytes):
+    """Loading traces the narrow table and norms (int8 both here) plus what the set's own residue
+    check traces and the open file's read buffer.  A loader that keeps the whole int32 table until
+    the check traces 4 n d bytes more."""
+    lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))
+    path = tmp_path / "aa.bin"
+    aa = antialias.build(lat)
+    antialias.save_cache(aa, path)
+    assert (aa.freq.dtype, aa.norms2.dtype) == (np.int8, np.int8)
+    check = peak_bytes(antialias.AntiAliasingSet, lat, aa.freq, aa.norms2)
+    bound = aa.freq.nbytes + aa.norms2.nbytes + check + io.DEFAULT_BUFFER_SIZE
+    assert peak_bytes(antialias.load_cache, path, lat) <= bound
+
+
+def test_serialization_holds_a_few_blocks(tmp_path, peak_bytes):
+    """``sha256()`` and ``save_cache`` convert the narrow table to int32 one ``_BLOCK``-row block at a
+    time: at n = 2^18, d = 2 they trace two blocks (the one written and the next one) and a file
+    buffer's worth of change, about half the int32 table."""
+    lat = Rank1Lattice(2, 2**18, (1, 100135))
+    aa = antialias.build(lat)
+    block = 4 * lat.d * antialias._BLOCK
+    assert aa.freq.dtype == np.int16 and 4 * aa.freq.size == 4 * block
+    assert peak_bytes(aa.sha256) <= 2 * block + io.DEFAULT_BUFFER_SIZE
+    assert peak_bytes(antialias.save_cache, aa, tmp_path / "aa.bin") <= 2 * block + io.DEFAULT_BUFFER_SIZE
 
 
 def test_failed_cache_write_keeps_old_cache(tmp_path, tiny, full_disk):

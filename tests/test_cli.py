@@ -7,7 +7,7 @@ import pytest
 
 from rank1tdse import antialias
 from rank1tdse.cli import main
-from rank1tdse.lattice import Rank1Lattice
+from rank1tdse.lattice import Rank1Lattice, load_lattice
 from rank1tdse.transform import load_snapshot
 
 
@@ -327,6 +327,17 @@ def test_diagnose_commutator(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [e["n"] for e in doc["entries"]] == [16, 32]
     assert doc["verdict"] == "bounded"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_aaset_build_paper_d4_holds_the_narrow_set(tmp_path, python_child):
+    """``aaset build --preset paper-d4`` peaks within the README's build memory of the import's peak RSS:
+    the set, n d + 2 n bytes in int8 and int16, plus 16 bytes per residue while it is built (22 MiB).
+    With the int32/int64 set it is n (16 + 8 + 16) bytes, 40 MiB."""
+    lat = load_lattice("paper-d4")
+    base_kb = int(python_child(_IMPORT_PEAK).split()[1])
+    peak_kb = _main_peak_kb(python_child, "aaset", "build", "--preset", "paper-d4", "--cache-dir", str(tmp_path))
+    assert peak_kb < base_kb + lat.n * (lat.d + 2 + 16) // 2**10
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

@@ -232,7 +232,7 @@ def test_shifted_representatives_same_residues():
     shifted = shifted_representatives(aa)
     assert np.array_equal(lat.residues(shifted.freq), lat.residues(aa.freq))
     assert shifted.norms2[0] == 0  # the zero vector is kept as-is
-    assert shifted.norms2[1:].min() >= lat.n**2 - 2 * lat.n * np.abs(aa.freq[:, 0]).max()
+    assert shifted.norms2[1:].min() >= lat.n**2 - 2 * lat.n * int(np.abs(aa.freq[:, 0]).max())
 
 
 def test_minimal_representatives_stay_bounded(sweep_pairs):

@@ -97,12 +97,19 @@ def test_kinetic_table_keeps_the_dense_layout_while_half_the_norms_occur(small):
 
 
 def test_kinetic_table_over_the_norms_that_occur():
-    """paper-d2 holds 8 277 of the norms 0..36 424: one rate per norm that occurs, an intp index, and
-    the same per-residue rates as the dense layout."""
+    """paper-d2 holds 8 277 of the norms 0..36 424: one rate per norm that occurs, an int16 index (the
+    narrowest type that holds the table size), and the same per-residue rates as the dense layout."""
     aa = antialias.build(load_lattice("paper-d2"))
     kt = make_kinetic(aa, epsilon=0.5)
-    assert kt.rates.size == np.unique(aa.norms2).size == 8277 and kt.index.dtype == np.intp
+    assert kt.rates.size == np.unique(aa.norms2).size == 8277 and kt.index.dtype == np.int16
     assert np.array_equal(kt.phases_base, 2.0 * np.pi**2 * 0.5 * aa.norms2)
+
+
+def test_make_kinetic_holds_less_than_an_intp_n_vector(peak_bytes):
+    """On paper-d2 the compact table's mask, slots, int16 index and rates, and a kinetic block's intp
+    cast of the norms, trace less than one intp n-vector, which an intp index alone would fill."""
+    aa = antialias.build(load_lattice("paper-d2"))
+    assert peak_bytes(make_kinetic, aa, 0.5) < np.dtype(np.intp).itemsize * aa.n
 
 
 def test_kinetic_zero_coefficient_is_identity(small):

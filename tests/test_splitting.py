@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from rank1tdse import antialias, lattice, operators
+from rank1tdse.antialias import AntiAliasingSet
 from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import (
     KineticTable,
@@ -365,6 +366,30 @@ def test_evolve_with_the_compact_table_equals_the_dense_table(sparse_norm_sets, 
     assert kt.rates.size < aa.max_norm2() + 1
     got, want = (evolve(st, scheme(name), k, pf, 3, 0.01, 1.0)[0].coeffs for k in (kt, _dense_table(aa)))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def narrow_and_wide_sets():
+    """paper-d2 (int16 vectors, int32 norms) and CBC d = 3, n = 2^13 (int8, int16), each beside its
+    int32/int64 copy."""
+    sets = {}
+    for name, lat in (("paper-d2", load_lattice("paper-d2")), ("cbc-d3-8192", cbc_construct(3, 2**13))):
+        aa = antialias.build(lat)
+        sets[name] = (lat, aa, AntiAliasingSet(lat, aa.freq.astype(np.int32), aa.norms2.astype(np.int64)))
+    return sets
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+@pytest.mark.parametrize("where", ["paper-d2", "cbc-d3-8192"])
+def test_evolve_does_not_depend_on_the_set_types(narrow_and_wide_sets, name, where):
+    """``evolve`` from the narrow set and from its int32/int64 copy gives the same state bit for bit."""
+    lat, *sets = narrow_and_wide_sets[where]
+    assert sets[0].freq.itemsize < 4 and sets[0].norms2.itemsize < 8
+    pf, outs = make_potential("smooth_v1", lat), []
+    for aa in sets:
+        st = make_gaussian(aa)
+        outs.append(evolve(st, scheme(name), make_kinetic(aa), pf, 3, 0.01, 1.0)[0].coeffs.tobytes())
+    assert outs[0] == outs[1]
 
 
 def test_evolve_memory_with_the_compact_table(sparse_norm_sets, peak_bytes):

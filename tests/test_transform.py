@@ -195,7 +195,7 @@ def test_character_property_exhaustive():
     x = lat.node_coords()
     for xi in range(lat.n):
         for xi2 in range(lat.n):
-            s = np.mean(np.exp(2j * np.pi * (x @ (aa.freq[xi] - aa.freq[xi2]))))
+            s = np.mean(np.exp(2j * np.pi * (x @ (aa.freq[xi].astype(np.int64) - aa.freq[xi2]))))
             assert abs(s - (1.0 if xi == xi2 else 0.0)) < 1e-12
 
 
