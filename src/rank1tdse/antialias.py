@@ -53,8 +53,9 @@ class AntiAliasingSet:
         n, d = self.lattice.n, self.lattice.d
         if self.freq.shape != (n, d):
             raise ValueError(f"freq has shape {self.freq.shape}, expected {(n, d)}")
-        seen = np.zeros(n, dtype=bool)
-        seen[self.lattice.residues(self.freq)] = True
+        seen = np.zeros(n, dtype=bool)  # by half blocks: residues() holds 16 B a row and cast buffers, inline
+        _blockwise(n, lambda lo, hi: seen.__setitem__(self.lattice.residues(self.freq[lo:hi]), True),
+                   block=_BLOCK // 2)
         if not seen.all():
             raise ValueError("representatives do not cover every residue exactly once")
 

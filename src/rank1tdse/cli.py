@@ -130,14 +130,14 @@ def _cmd_diagnose(args) -> int:
         print(f"max deviation: {dev:.3e}")
         return 0 if dev <= 1e-10 else 1
     # commutator sweep over the given moduli, CBC vectors per n; bad input is refused before any set is built
-    diagnostics.check_dense_input(max(args.n_values), args.p, args.epsilon)
-    potential_kind(args.potential)
+    diagnostics.check_commutator_input(args.p, args.epsilon)
+    if max(args.n_values) >= _LARGE_N and not args.large:
+        raise SystemExit(f"lattice has n = {max(args.n_values)}; pass --large to confirm")
     subs = [cbc_construct(lat.d, n) if lat.n != n else lat for n in args.n_values]
     pairs = [(sub, antialias.cached_build(sub, cache_dir)) for sub in subs]
     if args.contrast:
         pairs = [(l, diagnostics.shifted_representatives(a)) for l, a in pairs]
-    report = diagnostics.commutator_sweep(
-        pairs, lambda l: make_potential(args.potential, l), args.p, args.epsilon)
+    report = diagnostics.commutator_sweep(pairs, lambda l: make_potential("smooth_v1", l), args.p, args.epsilon)
     print(report.to_json())
     return 0
 
@@ -193,10 +193,9 @@ def main(argv=None) -> int:
     p.add_argument("--large", action="store_true", help="allow lattices with n >= 2^22")
     p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("diagnose", help="operator structure checks")
+    p = sub.add_parser("diagnose", help="operator structure checks on the smooth_v1 potential")
     p.add_argument("check", choices=["commutator", "circulant"])
     _add_lattice_args(p)
-    p.add_argument("--potential", default="smooth_v1")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--n-values", type=int, nargs="+", default=[2**6, 2**8, 2**10])

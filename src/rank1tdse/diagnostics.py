@@ -6,15 +6,15 @@ analytic aliasing sum for polynomial potentials (two n-vectors, any n);
 (b) nested commutators of the kinetic diagonal with the multiplication
 operator, scaled by ``(D + I)^-p``, stay bounded as n grows when the
 frequency representatives are norm-minimal, and blow up when they are not.
-At p = 0 the norm is read off the potential at any n; otherwise the scaled operator
-is never formed: a power step rebuilds it 64 rows at a time from a read-only
-circulant view, so a check holds three 64 x n buffers and a power step costs
-O(n^2) time, n up to the dense limit.
+At p = 0 the norm is read off the potential; for p >= 1 a power step sums W's |R| <= 3^d
+nonzero diagonals, read off the smooth potential's analytic column, scaled: O(|R| n) time
+and a few n-vectors, at any n.  The scaled operator is never formed.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +26,13 @@ from .transform import aliasing_oracle
 
 __all__ = [
     "CommutatorReport",
-    "dense_multiplication_operator",
-    "check_dense_input",
+    "check_commutator_input",
     "circulant_check",
     "commutator_norm",
     "commutator_sweep",
     "shifted_representatives",
 ]
 
-_DENSE_LIMIT = 1 << 12
 _GROWTH_LIMIT = 2.0  # a sweep is bounded while its largest norm is below this multiple of its smallest
 
 
@@ -56,66 +54,59 @@ class CommutatorReport:
         return json.dumps(doc, indent=2)
 
 
-def _circulant(w: np.ndarray) -> np.ndarray:
-    """Read-only ``C[i, j] = w[(i - j) mod n]``: row i is the window from n - 1 - i of the reversed ``w`` twice over."""
-    twice = np.tile(w[::-1], 2)[:-1]
-    return np.lib.stride_tricks.sliding_window_view(twice, w.shape[0])[::-1]
+def _analytic_column(aa: AntiAliasingSet, pf: PotentialField) -> np.ndarray:
+    """W's first column as the aliasing sum ``w_j = sum of v_hat(h) over h . z == j`` of the potential's
+    analytic coefficients; ``ValueError`` unless ``pf`` is the smooth product potential on ``aa``'s lattice."""
+    if pf.kind != "smooth_v1":
+        raise ValueError("the analytic first column needs a trigonometric-polynomial potential")
+    pf.check_lattice(aa)
+    return aliasing_oracle(smooth_potential_coefficients(aa.lattice.d), aa).coeffs
 
 
-def _first_column(pf: PotentialField) -> np.ndarray:
-    """``w = FFT(v) / n``, the convention of ``transform.forward``: W's first column."""
-    return scipy.fft.fft(pf.values) / pf.values.shape[0]
-
-
-def check_dense_input(n: int, p: int = 0, epsilon: float = 1.0) -> None:
-    """Raise ``ValueError`` for n above the dense limit at p >= 1, a commutator order p outside 0..4 or epsilon <= 0."""
-    if p >= 1 and n > _DENSE_LIMIT:
-        raise ValueError(f"n = {n} too large for dense assembly (limit {_DENSE_LIMIT})")
+def check_commutator_input(p: int, epsilon: float) -> None:
+    """Raise ``ValueError`` for a commutator order p outside 0..4 or an epsilon that is not positive."""
     if not 0 <= p <= 4:
         raise ValueError("commutator order p must be in 0..4")
     check_epsilon(epsilon)
-
-
-def dense_multiplication_operator(pf: PotentialField) -> np.ndarray:
-    """W = F diag(v) F^-1, the potential's action in coefficient space: the circulant
-    ``W[i, j] = w[(i - j) mod n]`` of ``w = FFT(v) / n`` (the convention of ``transform.forward``)."""
-    check_dense_input(pf.values.shape[0], p=1)  # holds the n x n array: the limit of p >= 1
-    return _circulant(_first_column(pf)).copy()
 
 
 def circulant_check(aa: AntiAliasingSet, pf: PotentialField) -> float:
     """Max elementwise deviation between the two multiplication-operator builds.
 
     Compares the circulant of the tabulated potential's FFT against the circulant of its
-    analytic Fourier coefficients, whose first column is their aliasing sum
-    ``w_j = sum of v_hat(h) over h . z == j``; every entry of a circulant is one of its first
+    analytic Fourier coefficients; every entry of a circulant is one of its first
     column's, so the two columns give the same maximum.  Only defined for the smooth
     product potential, whose coefficient support is finite.
     """
-    if pf.kind != "smooth_v1":
-        raise ValueError("analytic-column comparison needs a trigonometric-polynomial potential")
-    pf.check_lattice(aa)
-    w = _first_column(pf)
-    w -= aliasing_oracle(smooth_potential_coefficients(aa.lattice.d), aa).coeffs
+    w = _analytic_column(aa, pf)
+    w -= scipy.fft.fft(pf.values) / aa.n  # the convention of ``transform.forward``
     return float(np.abs(w).max())
 
 
 def _spectral_norm(normal, n: int, iters: int = 50, rtol: float = 1e-8) -> float:
-    """Power iteration with a fixed seed on ``normal(y) = M^H M y`` for an n x n M; returns ||M||_2."""
+    """Power iteration with a fixed seed on ``normal(y) = M^H M y`` for an n x n M; returns ||M||_2,
+    with a ``RuntimeWarning`` if ``iters`` steps end before the estimate changes by ``rtol`` or less."""
     rng = np.random.default_rng(0)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y /= np.linalg.norm(y)
-    prev = 0.0
+    lam = 0.0
     for _ in range(iters):
         y = normal(y)
-        lam = np.linalg.norm(y)
+        prev, lam = lam, np.linalg.norm(y)
         if lam == 0.0:
             return 0.0
         y /= lam
         if abs(lam - prev) <= rtol * lam:
-            break
-        prev = lam
+            return float(np.sqrt(lam))
+    warnings.warn(f"power iteration stopped after {iters} steps at relative change "
+                  f"{abs(lam - prev) / lam:.1e}", RuntimeWarning, stacklevel=2)
     return float(np.sqrt(lam))
+
+
+def _shift(a: np.ndarray, r: int, out: np.ndarray) -> np.ndarray:
+    """``out[i] = a[(i - r) mod n]``, the cyclic shift S^r of ``a``, written into ``out``."""
+    out[r:], out[:r] = a[:a.shape[0] - r], a[a.shape[0] - r:]
+    return out
 
 
 def commutator_norm(aa: AntiAliasingSet, pf: PotentialField, p: int, epsilon: float = 1.0) -> float:
@@ -125,31 +116,38 @@ def commutator_norm(aa: AntiAliasingSet, pf: PotentialField, p: int, epsilon: fl
     multiplication operator divided by eps.  D is diagonal, so the p-fold
     commutator M is W scaled entrywise by ``(d_i - d_j)^p``.  At p = 0, M = W/eps
     is unitarily similar to ``diag(v)/eps``, so its norm is ``max|v|/eps`` exactly.
-    For p >= 1 each power step sums ``M_R^H (M_R y)`` over blocks R of 64 rows,
-    each rebuilt from the circulant view of W's first column into three reused
-    64 x n buffers (8 MiB at the dense limit).
+    For p >= 1 W is the circulant of the analytic column w, whose support R has at
+    most 3^d residues, so ``M = sum over r in R of diag(w_r g_r) S^r`` with
+    ``g_r[i] = (d_i - d_{i-r})^p / ((d_{i-r} + 1)^p eps)`` and a power step costs
+    O(|R| n); r = 0 is skipped, its g_0 is zero.
     """
-    check_dense_input(aa.n, p, epsilon)
+    check_commutator_input(p, epsilon)
     if p == 0:
         return float(np.abs(pf.values).max()) / epsilon
-    n = aa.n
+    n, w = aa.n, _analytic_column(aa, pf)
+    terms = [(r, w[r]) for r in np.flatnonzero(w[1:]) + 1]  # g_0 = 0: W's diagonal drops out
+    del w
     d_diag = 2.0 * np.pi**2 * epsilon * aa.norms2.astype(np.float64)
     denominator = (d_diag + 1.0) ** p * epsilon
-    W = _circulant(_first_column(pf))
-    diff, scale = np.empty((min(n, 64), n)), np.empty((min(n, 64), n))
-    block = np.empty((min(n, 64), n), dtype=np.complex128)
+    diff, scale = np.empty(n), np.empty(n)
+    weights, term = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
+
+    def weight(r: int, wr: complex) -> np.ndarray:
+        """``wr g_r`` into ``weights``; each g_r[i] is computed as the dense scaling's (i, i - r) entry was."""
+        np.subtract(d_diag, _shift(d_diag, r, diff), out=diff)
+        np.divide(diff, _shift(denominator, r, scale), out=scale)
+        for _ in range(p - 1):
+            np.multiply(scale, diff, out=scale)
+        return np.multiply(scale, wr, out=weights)
 
     def normal(y: np.ndarray) -> np.ndarray:
-        acc = np.zeros(n, dtype=np.complex128)  # conj(M^H M y), summed block by block
-        for lo in range(0, n, 64):
-            t, s, b = (buf[:min(64, n - lo)] for buf in (diff, scale, block))
-            np.subtract(d_diag[lo:lo + 64, None], d_diag, out=t)
-            np.divide(t, denominator, out=s)
-            for _ in range(p - 1):
-                s *= t
-            np.multiply(W[lo:lo + 64], s, out=b)
-            acc += np.conj(b @ y) @ b
-        return np.conj(acc, out=acc)
+        my = np.zeros(n, dtype=np.complex128)
+        for r, wr in terms:
+            my += np.multiply(weight(r, wr), _shift(y, r, term), out=term)
+        out = np.zeros(n, dtype=np.complex128)  # M^H (M y): S^-r of conj(w_r g_r) (M y), summed over r
+        for r, wr in terms:
+            out += _shift(np.multiply(weight(r, np.conj(wr)), my, out=term), n - r, weights)
+        return out
 
     return _spectral_norm(normal, n)
 

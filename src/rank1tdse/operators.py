@@ -108,8 +108,8 @@ class PotentialField:
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Raise ``ValueError`` unless the semiclassical parameter epsilon is positive."""
-    if epsilon <= 0:
+    """Raise ``ValueError`` unless the semiclassical parameter epsilon is positive (NaN is not)."""
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
 
 

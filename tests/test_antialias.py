@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rank1tdse import antialias
-from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
+from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice, stage_workers
 
 
 @pytest.fixture(scope="module")
@@ -286,8 +286,8 @@ def test_truncated_cache_body_triggers_rebuild(tmp_path, tiny):
 def test_load_cache_memory_is_table_plus_norms(tmp_path, peak_bytes):
     """Loading reads the int32 table once: the peak stays within twice the table plus its norms.
 
-    The second half is the set's residue check (two int64 n-vectors and a
-    mask).  A loader that copies the bytes and two int64 tables peaks at 4.3x.
+    The rest is the set's residue check (a mask and a few blocks).  A loader
+    that copies the bytes and two int64 tables peaks at 4.3x.
     """
     lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))
     path = tmp_path / "aa.bin"
@@ -307,6 +307,16 @@ def test_load_cache_memory_is_the_narrow_set_plus_its_check(tmp_path, peak_bytes
     check = peak_bytes(antialias.AntiAliasingSet, lat, aa.freq, aa.norms2)
     bound = aa.freq.nbytes + aa.norms2.nbytes + check + io.DEFAULT_BUFFER_SIZE
     assert peak_bytes(antialias.load_cache, path, lat) <= bound
+
+
+def test_residue_check_holds_a_mask_and_a_block_per_thread(peak_bytes):
+    """The set's own check marks a bool mask from one block of residues per thread at a time: on
+    ``paper-d4`` (n = 2^20, a 6 MiB set) it traces at most n + 16 ``_BLOCK`` bytes per thread, where
+    the residues of all n rows at once traced 10.1 MiB."""
+    lat = load_lattice("paper-d4")
+    aa = antialias.build(lat)
+    bound = lat.n + 16 * antialias._BLOCK * stage_workers(lat.n)
+    assert peak_bytes(antialias.AntiAliasingSet, lat, aa.freq, aa.norms2) <= bound
 
 
 def test_serialization_holds_a_few_blocks(tmp_path, peak_bytes):

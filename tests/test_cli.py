@@ -133,14 +133,13 @@ def test_bad_input_exits_in_one_line(tmp_path, monkeypatch, capsys, cmd, message
 
 @pytest.mark.parametrize("cmd, message", [
     (["diagnose", "commutator", "--p", "5"], "diagnose: commutator order p must be in 0..4"),
-    (["diagnose", "commutator", "--n-values", "8192"],
-     "diagnose: n = 8192 too large for dense assembly (limit 4096)"),
+    (["diagnose", "commutator", "--n-values", "64", str(2**22)],
+     "lattice has n = 4194304; pass --large to confirm"),
     (["solve", "--epsilon", "0"], "solve: epsilon must be positive"),
     (["solve", "--potential", "nope"], "solve: unknown potential kind 'nope'"),
-    (["diagnose", "commutator", "--n-values", "64", "8192"],
-     "diagnose: n = 8192 too large for dense assembly (limit 4096)"),
+    (["diagnose", "commutator", "--p", "-1"], "diagnose: commutator order p must be in 0..4"),
     (["diagnose", "commutator", "--epsilon", "-1"], "diagnose: epsilon must be positive"),
-    (["diagnose", "commutator", "--potential", "nope"], "diagnose: unknown potential kind 'nope'"),
+    (["diagnose", "commutator", "--epsilon", "nan"], "diagnose: epsilon must be positive"),
     (["diagnose", "commutator", "--n-values", "64", "1"], "diagnose: need n >= 2 and d >= 1"),
 ])
 def test_bad_input_after_the_set_exits_in_one_line(tmp_path, monkeypatch, capsys, cmd, message):
@@ -342,16 +341,17 @@ def test_aaset_build_paper_d4_holds_the_narrow_set(tmp_path, python_child):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_diagnose_commutator_holds_no_n_by_n_array(tmp_path, python_child):
-    """A p = 2 check at n = 1024 and 4096 stays within 64 MiB of the import's peak RSS; one dense
-    4096 x 4096 complex operator alone is 256 MiB."""
+    """A p = 2 check at n = 1024, 4096 and 2^16 (the preset itself) stays within 64 MiB of the import's
+    peak RSS and finds the norms bounded; one dense 4096 x 4096 complex operator alone is 256 MiB."""
     base_kb = int(python_child(_IMPORT_PEAK).split()[1])
-    peak_kb = _main_peak_kb(python_child, "diagnose", "commutator", "--preset", "paper-d2", "--p", "2",
-                            "--n-values", "1024", "4096", "--cache-dir", str(tmp_path))
-    assert peak_kb < base_kb + 64 * 2**10
+    *report, peak = python_child(_REPORT_PEAK, "diagnose", "commutator", "--preset", "paper-d2", "--p", "2",
+                                 "--n-values", "1024", "4096", "65536", "--cache-dir", str(tmp_path)).splitlines()
+    assert int(peak.split()[1]) < base_kb + 64 * 2**10
+    assert json.loads("\n".join(report))["verdict"] == "bounded"
 
 
 def test_diagnose_commutator_p0_above_the_dense_limit(tmp_path, capsys):
-    """The dense limit bounds the p >= 1 power steps; p = 0 reads max|v| / eps at any n."""
+    """p = 0 reads max|v| / eps, at n = 8192 as at any n."""
     rc = main(["diagnose", "commutator", "--preset", "paper-d2", "--p", "0",
                "--n-values", "8192", "--cache-dir", str(tmp_path / "c")])
     assert rc == 0

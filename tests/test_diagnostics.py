@@ -2,13 +2,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from rank1tdse import antialias
 from rank1tdse.diagnostics import (
     circulant_check,
     commutator_norm,
     commutator_sweep,
-    dense_multiplication_operator,
     shifted_representatives,
     _spectral_norm,
 )
@@ -30,6 +30,11 @@ def circulant_matrix(w):
     """``C[i, j] = w[(i - j) mod n]`` by index arithmetic."""
     i = np.arange(len(w))
     return w[(i[:, None] - i[None, :]) % len(w)]
+
+
+def fft_operator(pf):
+    """W as the circulant of ``FFT(v) / n`` (the convention of ``transform.forward``), built densely."""
+    return circulant_matrix(scipy.fft.fft(pf.values) / pf.values.shape[0])
 
 
 @pytest.fixture(scope="module")
@@ -64,32 +69,19 @@ _ORACLE_LATTICES = [(1, 8, (1,)), (1, 256, (1,)), (2, 5, (1, 3)), (2, 64, (1, 19
 @pytest.mark.parametrize("d, n, z", _ORACLE_LATTICES)
 @pytest.mark.parametrize("kind", ["smooth_v1", "harmonic_v2"])
 def test_dense_operator_equals_conjugation(conjugated_operator, d, n, z, kind):
-    """The circulant of FFT(v) / n is the dense conjugation F diag(v) F^-1 to 1e-13 of max |v|."""
+    """The circulant of FFT(v) / n, the W of the oracles below, is the dense conjugation F diag(v) F^-1
+    to 1e-13 of max |v|."""
     lat = Rank1Lattice(d, n, z) if z else cbc_construct(d, n)
     pf = make_potential(kind, lat)
-    err = np.abs(dense_multiplication_operator(pf) - conjugated_operator(pf)).max()
+    err = np.abs(fft_operator(pf) - conjugated_operator(pf)).max()
     assert err <= 1e-13 * np.abs(pf.values).max()
 
 
 def test_dense_operator_of_constant_potential():
     lat = Rank1Lattice(1, 8, (1,))
     pf = PotentialField(np.full(lat.n, 3.0), "custom", lat)
-    W = dense_multiplication_operator(pf)
+    W = fft_operator(pf)
     assert np.abs(W - 3.0 * np.eye(8)).max() < 1e-13
-
-
-def test_dense_operator_is_circulant():
-    lat = Rank1Lattice(2, 5, (1, 3))
-    W = dense_multiplication_operator(v1_for(lat))
-    for i in range(5):
-        for j in range(5):
-            assert abs(W[i, j] - W[(i + 1) % 5, (j + 1) % 5]) < 1e-13
-
-
-def test_dense_limit_enforced():
-    lat = Rank1Lattice(1, 1 << 13, (1,))
-    with pytest.raises(ValueError, match="too large"):
-        dense_multiplication_operator(v1_for(lat))
 
 
 def test_first_column_d1():
@@ -128,11 +120,22 @@ def test_circulant_check_guards():
         circulant_check(antialias.build(other), v1_for(small))
 
 
+def test_commutator_norm_guards():
+    """From p = 1 the check reads W off the analytic column, as ``circulant_check`` does: it refuses the
+    harmonic potential, whose Fourier support is every residue, and a field of another lattice."""
+    small = Rank1Lattice(2, 5, (1, 3))
+    aa = antialias.build(small)
+    with pytest.raises(ValueError, match="trigonometric"):
+        commutator_norm(aa, make_potential("harmonic_v2", small), p=1)
+    with pytest.raises(ValueError, match="another lattice"):
+        commutator_norm(aa, v1_for(Rank1Lattice(2, 5, (1, 2))), p=1)
+
+
 def test_commutator_p0_is_operator_norm():
     lat = Rank1Lattice(2, 5, (1, 3))
     aa = antialias.build(lat)
     got = commutator_norm(aa, v1_for(lat), p=0)
-    want = np.linalg.norm(dense_multiplication_operator(v1_for(lat)), ord=2)
+    want = np.linalg.norm(fft_operator(v1_for(lat)), ord=2)
     assert abs(got - want) < 1e-8 * want
 
 
@@ -147,7 +150,7 @@ def test_commutator_p0_is_max_potential_over_epsilon(eps):
 
 
 def test_commutator_p0_has_no_dense_limit():
-    """At p = 0 the check is one pass over the potential, so n = 8192, above the p >= 1 limit, runs."""
+    """At p = 0 the check is one pass over the potential, at n = 8192 as at any n."""
     lat = Rank1Lattice(1, 8192, (1,))
     pf = v1_for(lat)
     assert commutator_norm(antialias.build(lat), pf, 0, 0.5) == np.abs(pf.values).max() / 0.5
@@ -162,13 +165,22 @@ def test_spectral_norm_of_a_complex_matrix():
     assert abs(dense_norm((U * s) @ V.conj().T) - 3.0) < 1e-8
 
 
+def test_spectral_norm_warns_when_it_stops_short():
+    """Two top singular values 1 and 1 - 1e-6 leave the estimate moving by more than 1e-8 a step after
+    50 steps: the estimate is still returned, with a warning that gives the last relative change."""
+    s = np.linspace(0.1, 1.0, 48)
+    s[-2] = 1.0 - 1e-6
+    with pytest.warns(RuntimeWarning, match=r"stopped after 50 steps at relative change \d\.\de-\d\d"):
+        assert abs(dense_norm(np.diag(s).astype(complex)) - 1.0) < 1e-5
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_commutator_equals_repeated_commutation(p):
     """The entrywise (d_i - d_j)^p scaling against p explicit commutations D M - M D."""
     lat = Rank1Lattice(2, 64, (1, 19))
     aa, pf, eps = antialias.build(lat), v1_for(lat), 0.7
     d = 2.0 * np.pi**2 * eps * aa.norms2.astype(np.float64)
-    M = dense_multiplication_operator(pf) / eps
+    M = fft_operator(pf) / eps
     for _ in range(p):
         M = d[:, None] * M - M * d[None, :]
     want = dense_norm(M / (d[None, :] + 1.0) ** p)
@@ -184,10 +196,11 @@ def _oracle_commutator_norm(conjugated_operator, aa, pf, p):
 
 @pytest.mark.parametrize("p", range(5))
 @pytest.mark.parametrize("shifted", [False, True], ids=["minimal", "shifted"])
-@pytest.mark.parametrize("d, n", [(2, 64), (2, 256), (3, 256)])
+@pytest.mark.parametrize("d, n", [(2, 5), (2, 64), (2, 256), (3, 256)])
 def test_commutator_norm_equals_conjugation_oracle(conjugated_operator, d, n, shifted, p):
-    """``commutator_norm`` reads the oracle's dense norm within 1e-8, on minimal and shifted sets."""
-    lat = cbc_construct(d, n)
+    """``commutator_norm`` reads the oracle's dense norm within 1e-8, on minimal and shifted sets; at n = 5
+    on z = (1, 3), where the nine support vectors of the smooth potential share five residues."""
+    lat = Rank1Lattice(2, 5, (1, 3)) if n == 5 else cbc_construct(d, n)
     aa = antialias.build(lat)
     if shifted:
         aa = shifted_representatives(aa)
@@ -208,10 +221,10 @@ def test_commutator_norm_matches_the_analytic_operator():
     assert abs(commutator_norm(aa, v1_for(lat), 4) - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("n, limit_mib", [(1024, 4), (4096, 16)])
+@pytest.mark.parametrize("n, limit_mib", [(1024, 4), (4096, 16), (2**16, 16)])
 def test_commutator_norm_holds_no_n_by_n_array(peak_bytes, n, limit_mib):
-    """The check holds 64-row blocks, not the operator: its traced peak is at most 4 MiB at n = 1024 and
-    16 MiB at n = 4096, where one n x n complex array is 16 and 256 MiB."""
+    """The check holds a few n-vectors, not the operator: its traced peak is at most 4 MiB at n = 1024 and
+    16 MiB at n = 4096 and 2^16, where one n x n complex array is 16 MiB, 256 MiB and 64 GiB."""
     lat = cbc_construct(2, n)
     aa, pf = antialias.build(lat), v1_for(lat)
     assert peak_bytes(commutator_norm, aa, pf, 2) <= limit_mib * 2**20
