@@ -256,10 +256,8 @@ def cache_path(lattice: Rank1Lattice, cache_dir) -> Path:
     return Path(cache_dir).expanduser() / name
 
 
-def cached_build(lattice: Rank1Lattice, cache_dir=None) -> AntiAliasingSet:
-    """Build the set, reusing (or writing) a disk cache when a directory is given."""
-    if cache_dir is None:
-        return build(lattice)
+def cached_build(lattice: Rank1Lattice, cache_dir) -> AntiAliasingSet:
+    """Build the set, reusing (or writing) its disk cache under ``cache_dir``."""
     path = cache_path(lattice, cache_dir)
     if path.exists():
         try:

@@ -105,8 +105,13 @@ def _cmd_solve(args) -> int:
 def _cmd_converge(args) -> int:
     doc = {}
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except OSError as e:
+            raise ValueError(f"{args.config}: {e.strerror}") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: config is not a JSON object")
     # each override flag's dest is the config field it sets
     doc.update({f.name: getattr(args, f.name) for f in fields(experiments.ExperimentConfig)
                 if getattr(args, f.name, None) is not None})

@@ -6,9 +6,11 @@ analytic aliasing sum for polynomial potentials (two n-vectors, any n);
 (b) nested commutators of the kinetic diagonal with the multiplication
 operator, scaled by ``(D + I)^-p``, stay bounded as n grows when the
 frequency representatives are norm-minimal, and blow up when they are not.
-At p = 0 the norm is read off the potential; for p >= 1 a power step sums W's |R| <= 3^d
-nonzero diagonals, read off the smooth potential's analytic column, scaled: O(|R| n) time
-and a few n-vectors, at any n.  The scaled operator is never formed.
+At p = 0 the norm is read off the potential.  For p >= 1 the scaled operator
+is M = A Lambda: a diagonal Lambda and a sparse A over W's |R| <= 3^d nonzero
+diagonals, read off the smooth potential's analytic column.  That potential is
+real, so A^H = (-1)^p A and a power step applies A twice: O(|R| n) time and a
+few n-vectors, at any n.  Neither M nor A is ever formed.
 """
 
 from __future__ import annotations
@@ -112,44 +114,36 @@ def _shift(a: np.ndarray, r: int, out: np.ndarray) -> np.ndarray:
 def commutator_norm(aa: AntiAliasingSet, pf: PotentialField, p: int, epsilon: float = 1.0) -> float:
     """``|| ad_D^p(W) (D+I)^-p ||_2``, exact at p = 0 and by power iteration from p = 1, never forming the operator.
 
-    D is the kinetic diagonal ``2 pi^2 eps ||h_xi||^2`` and W the potential
-    multiplication operator divided by eps.  D is diagonal, so the p-fold
-    commutator M is W scaled entrywise by ``(d_i - d_j)^p``.  At p = 0, M = W/eps
-    is unitarily similar to ``diag(v)/eps``, so its norm is ``max|v|/eps`` exactly.
-    For p >= 1 W is the circulant of the analytic column w, whose support R has at
-    most 3^d residues, so ``M = sum over r in R of diag(w_r g_r) S^r`` with
-    ``g_r[i] = (d_i - d_{i-r})^p / ((d_{i-r} + 1)^p eps)`` and a power step costs
-    O(|R| n); r = 0 is skipped, its g_0 is zero.
+    D is the kinetic diagonal ``d = 2 pi^2 eps ||h_xi||^2`` and W the potential
+    multiplication operator divided by eps.  At p = 0, M = W/eps is unitarily
+    similar to ``diag(v)/eps``, so its norm is ``max|v|/eps`` exactly.  For p >= 1,
+    W is the circulant of the analytic column w, whose nonzero residues R number at
+    most 3^d, and M = A Lambda with ``Lambda = diag((d + 1)^-p / eps)`` and
+    ``A y = sum over r in R of w_r (d - S^r d)^p * S^r y`` (r = 0 drops out).  The
+    potential is real, so ``w_-r = conj(w_r)``, A^H = (-1)^p A and
+    ``M^H M = (-1)^p Lambda A A Lambda``: a power step costs O(|R| n).
     """
     check_commutator_input(p, epsilon)
     if p == 0:
         return float(np.abs(pf.values).max()) / epsilon
     n, w = aa.n, _analytic_column(aa, pf)
-    terms = [(r, w[r]) for r in np.flatnonzero(w[1:]) + 1]  # g_0 = 0: W's diagonal drops out
+    terms = [(r, w[r]) for r in np.flatnonzero(w[1:]) + 1]  # (d - S^0 d)^p = 0: W's diagonal drops out
     del w
     d_diag = 2.0 * np.pi**2 * epsilon * aa.norms2.astype(np.float64)
-    denominator = (d_diag + 1.0) ** p * epsilon
-    diff, scale = np.empty(n), np.empty(n)
-    weights, term = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
+    scale = (d_diag + 1.0) ** -p / epsilon
+    diff, power, term = np.empty(n), np.empty(n), np.empty(n, dtype=np.complex128)
 
-    def weight(r: int, wr: complex) -> np.ndarray:
-        """``wr g_r`` into ``weights``; each g_r[i] is computed as the dense scaling's (i, i - r) entry was."""
-        np.subtract(d_diag, _shift(d_diag, r, diff), out=diff)
-        np.divide(diff, _shift(denominator, r, scale), out=scale)
-        for _ in range(p - 1):
-            np.multiply(scale, diff, out=scale)
-        return np.multiply(scale, wr, out=weights)
-
-    def normal(y: np.ndarray) -> np.ndarray:
-        my = np.zeros(n, dtype=np.complex128)
+    def apply_a(y: np.ndarray) -> np.ndarray:
+        out = np.zeros(n, dtype=np.complex128)
         for r, wr in terms:
-            my += np.multiply(weight(r, wr), _shift(y, r, term), out=term)
-        out = np.zeros(n, dtype=np.complex128)  # M^H (M y): S^-r of conj(w_r g_r) (M y), summed over r
-        for r, wr in terms:
-            out += _shift(np.multiply(weight(r, np.conj(wr)), my, out=term), n - r, weights)
+            g = np.subtract(d_diag, _shift(d_diag, r, diff), out=diff)
+            for _ in range(p - 1):
+                g = np.multiply(g, diff, out=power)
+            np.multiply(_shift(y, r, term), g, out=term)
+            out += np.multiply(term, wr, out=term)
         return out
 
-    return _spectral_norm(normal, n)
+    return _spectral_norm(lambda y: (-1) ** p * scale * apply_a(apply_a(scale * y)), n)
 
 
 def shifted_representatives(aa: AntiAliasingSet) -> AntiAliasingSet:

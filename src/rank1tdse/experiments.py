@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,14 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "rank1tdse"
 
 
+#: the types each ``ExperimentConfig`` field accepts: JSON's, plus a tuple of step counts
+_FIELD_TYPES = {
+    "preset": (str, type(None)), "lattice": (dict, type(None)), "potential": str, "scheme": str,
+    "epsilon": numbers.Real, "final_time": numbers.Real, "reference_steps": numbers.Integral,
+    "sweep_steps": (list, tuple), "output": (str, type(None)), "cache_dir": (str, type(None)),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one convergence study."""
@@ -61,6 +70,11 @@ class ExperimentConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not isinstance(value := getattr(self, f.name), _FIELD_TYPES[f.name]):
+                raise ValueError(f"{f.name} = {value!r} is not of type {f.type}")
+        if not all(isinstance(m, numbers.Integral) for m in self.sweep_steps):
+            raise ValueError(f"sweep_steps = {self.sweep_steps!r} is not a list of integers")
         self.sweep_steps = tuple(int(m) for m in self.sweep_steps)
         if self.preset is None and self.lattice is None:
             raise ValueError("config needs a lattice preset or an explicit lattice")

@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -130,7 +131,8 @@ class Rank1Lattice:
 
 
 def load_lattice(source) -> Rank1Lattice:
-    """Load a lattice from a preset name, a dict ``{d, n, z}``, or a JSON file path."""
+    """Load a lattice from a preset name, a dict ``{d, n, z}``, or a JSON file path; ``ValueError`` names
+    what is missing or malformed."""
     if isinstance(source, Rank1Lattice):
         return source
     if isinstance(source, str):
@@ -146,11 +148,13 @@ def load_lattice(source) -> Rank1Lattice:
         if missing := {"d", "n", "z"} - source.keys():
             raise ValueError(f"lattice has no field {min(missing)!r}")
         d, n, z = source["d"], source["n"], source["z"]
+        if not isinstance(z, (list, tuple)):
+            raise ValueError(f"z = {z!r} is not a list")
         for field, value in [("d", d), ("n", n), *((f"z[{j}]", v) for j, v in enumerate(z))]:
-            if int(value) != value:
+            if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
                 raise ValueError(f"{field} = {value!r} is not an integer")
         return Rank1Lattice(int(d), int(n), tuple(int(v) for v in z))
-    raise TypeError(f"cannot load lattice from {source!r}")
+    raise ValueError(f"cannot load lattice from {source!r}")
 
 
 def _korobov_kernel_table(n: int) -> np.ndarray:

@@ -155,9 +155,13 @@ def test_bad_input_after_the_set_exits_in_one_line(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("doc, message", [
     (None, "lattice: {path}: No such file or directory"),
     ({"d": 2, "n": 64}, "lattice: lattice has no field 'z'"),
+    ({"d": 2, "n": None, "z": [1, 19]}, "lattice: n = None is not an integer"),
+    ({"d": 2, "n": 64, "z": 19}, "lattice: z = 19 is not a list"),
+    ([2, 64, [1, 19]], "lattice: cannot load lattice from [2, 64, [1, 19]]"),
 ])
 def test_lattice_file_missing_or_incomplete_exits_in_one_line(tmp_path, capsys, doc, message):
-    """A ``--lattice`` file that does not exist or lacks a field is refused in one line, not a traceback."""
+    """A ``--lattice`` file that does not exist, lacks a field, holds a field of the wrong type or is not a
+    JSON object is refused in one line, not a traceback."""
     path = tmp_path / "lat.json"
     if doc is not None:
         path.write_text(json.dumps(doc))
@@ -213,6 +217,26 @@ def test_large_lattice_file_guard(tmp_path, monkeypatch, capsys, cmd):
     lat = write_lattice(tmp_path, n=2**22, z=(1, 3))
     with pytest.raises(SystemExit, match="n = 4194304.*--large"):
         main([*cmd, "--lattice", lat])
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    (None, "converge: {path}: No such file or directory"),
+    (["paper-d2"], "converge: {path}: config is not a JSON object"),
+    ({"preset": "paper-d2", "sweep_steps": 5}, "converge: sweep_steps = 5 is not of type tuple[int, ...]"),
+    ({"preset": "paper-d2", "sweep_steps": [4, None]}, "converge: sweep_steps = [4, None] is not a list of integers"),
+    ({"preset": "paper-d2", "epsilon": "0.5"}, "converge: epsilon = '0.5' is not of type float"),
+    ({"preset": "paper-d2", "reference_steps": None}, "converge: reference_steps = None is not of type int"),
+])
+def test_converge_config_missing_or_mistyped_exits_in_one_line(tmp_path, capsys, doc, message):
+    """A ``--config`` file that does not exist, is not a JSON object or has a field of the wrong type is
+    refused in one line that names the file or the field, not a traceback."""
+    path = tmp_path / "cfg.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--config", str(path), "--cache-dir", str(tmp_path / "c")])
+    assert exc.value.code == message.format(path=path)
     assert not (tmp_path / "c").exists()
 
 

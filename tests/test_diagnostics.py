@@ -6,6 +6,7 @@ import scipy.fft
 
 from rank1tdse import antialias
 from rank1tdse.diagnostics import (
+    _analytic_column,
     circulant_check,
     commutator_norm,
     commutator_sweep,
@@ -15,6 +16,9 @@ from rank1tdse.diagnostics import (
 from rank1tdse.lattice import Rank1Lattice, cbc_construct, load_lattice
 from rank1tdse.operators import PotentialField, make_potential, smooth_potential_coefficients
 from rank1tdse.transform import NodalValues, SpectralState, aliasing_oracle, forward, inverse
+
+#: a power iteration that stops short warns; here that fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def v1_for(lat):
@@ -75,6 +79,15 @@ def test_dense_operator_equals_conjugation(conjugated_operator, d, n, z, kind):
     pf = make_potential(kind, lat)
     err = np.abs(fft_operator(pf) - conjugated_operator(pf)).max()
     assert err <= 1e-13 * np.abs(pf.values).max()
+
+
+@pytest.mark.parametrize("d, n, z", _ORACLE_LATTICES)
+def test_analytic_column_is_hermitian(d, n, z):
+    """The smooth potential is real, so its column has w[-r mod n] == conj(w[r]) exactly: the sparse A of
+    ``commutator_norm`` then satisfies A^H = (-1)^p A, and the check applies A in place of its adjoint."""
+    lat = Rank1Lattice(d, n, z) if z else cbc_construct(d, n)
+    w = _analytic_column(antialias.build(lat), v1_for(lat))
+    assert np.array_equal(w[-np.arange(n) % n], np.conj(w))
 
 
 def test_dense_operator_of_constant_potential():
