@@ -46,7 +46,8 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "rank1tdse"
 
 
-#: the types each ``ExperimentConfig`` field accepts: JSON's, plus a tuple of step counts
+#: the types each ``ExperimentConfig`` field accepts: JSON's, plus a tuple of step counts; never a
+#: ``bool``, which is a ``numbers.Integral``
 _FIELD_TYPES = {
     "preset": (str, type(None)), "lattice": (dict, type(None)), "potential": str, "scheme": str,
     "epsilon": numbers.Real, "final_time": numbers.Real, "reference_steps": numbers.Integral,
@@ -71,9 +72,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not isinstance(value := getattr(self, f.name), _FIELD_TYPES[f.name]):
+            if isinstance(value := getattr(self, f.name), bool) or not isinstance(value, _FIELD_TYPES[f.name]):
                 raise ValueError(f"{f.name} = {value!r} is not of type {f.type}")
-        if not all(isinstance(m, numbers.Integral) for m in self.sweep_steps):
+        if not all(isinstance(m, numbers.Integral) and not isinstance(m, bool) for m in self.sweep_steps):
             raise ValueError(f"sweep_steps = {self.sweep_steps!r} is not a list of integers")
         self.sweep_steps = tuple(int(m) for m in self.sweep_steps)
         if self.preset is None and self.lattice is None:

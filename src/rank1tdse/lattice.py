@@ -151,7 +151,8 @@ def load_lattice(source) -> Rank1Lattice:
         if not isinstance(z, (list, tuple)):
             raise ValueError(f"z = {z!r} is not a list")
         for field, value in [("d", d), ("n", n), *((f"z[{j}]", v) for j, v in enumerate(z))]:
-            if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               or isinstance(value, float) and value.is_integer()):
                 raise ValueError(f"{field} = {value!r} is not an integer")
         return Rank1Lattice(int(d), int(n), tuple(int(v) for v in z))
     raise ValueError(f"cannot load lattice from {source!r}")

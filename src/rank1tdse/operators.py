@@ -8,9 +8,13 @@ pair.  Both are unitary, so the discrete L2 norm is preserved.
 Both stages work in place: a kinetic stage multiplies one cache-sized block of
 residues at a time by its gathered phases, and a potential stage runs the FFT
 pair over the state itself (from n = 2^15 a four-step transform whose nodal order is
-transposed), so a stage allocates no complex n-vector.  The potential phases are
-built in their own result, in the stage's order, without a complex temporary.  All
-three run their blocks through ``lattice._blockwise``: from n = 2^20 on a thread per CPU.
+transposed), so a stage allocates no complex n-vector.  The stages hold a vector in
+``stage_layout(n)``: where the four-step pair runs, m2 rows of m1 + 1 values, the last
+a pad (0 in the state, 1 in a phase), so that the pair's column passes do not stride by
+a power of two; else one plain n-vector.  ``stage_copy`` and ``stage_compact`` move a
+vector in and out.  The potential phases are built in their own result, in the stage's
+order and layout, without a complex temporary.  All three run their blocks through
+``lattice._blockwise``: from n = 2^20 on a thread per CPU.
 
 The named potentials and the Gaussian packet are sums or products of one 1-D
 factor per coordinate.  Per block of points, the factor is evaluated on one
@@ -43,6 +47,10 @@ __all__ = [
     "kinetic_stage",
     "make_potential",
     "potential_apply",
+    "potential_stage",
+    "stage_layout",
+    "stage_copy",
+    "stage_compact",
     "make_gaussian",
     "smooth_potential_coefficients",
 ]
@@ -84,22 +92,23 @@ class PotentialField:
             raise ValueError(f"potential values have shape {self.values.shape}, expected ({self.lattice.n},)")
 
     def phases(self, b: float, dt: float, epsilon: float) -> np.ndarray:
-        """``exp(-i b dt v(p_k) / eps)`` at every lattice point, in ``potential_stage``'s nodal order.
+        """``exp(-i b dt v(p_k) / eps)`` at every lattice point, in ``potential_stage``'s nodal order and
+        ``stage_layout(n)``, with 1 in the pads.
 
         The bits equal ``np.exp(-1j * (b * dt / epsilon) * values)`` without its complex temporary.
         Each row block of the stage's order is built from a cache-blocked read of ``values``.
         """
         n, scale, split = self.values.size, -(b * dt / epsilon), four_step_split(self.values.size)
-        (m1, m2), rows = (split, len(_twiddles(n)[0])) if split else ((1, n), _BLOCK)  # the pair's row blocks
-        values, out = self.values.reshape(m1, m2), np.zeros((m2, m1), np.complex128)
+        (m1, m2), w, rows = (split, split[0] + 1, len(_twiddles(n)[0])) if split else ((1, n), 1, _BLOCK)
+        values, out = self.values.reshape(m1, m2), np.zeros((m2, w), np.complex128)
 
         def build(lo: int, hi: int) -> None:
-            r, s = lo // m1, hi // m1
+            r, s = lo // w, hi // w
             block, arg = out[r:s], np.multiply(values[:, r:s], scale)
-            np.add(arg.T, 0.0, out=block.imag)  # -0.0 -> +0.0 where v = 0, as the complex product gives
-            np.exp(block, out=block)
-        _blockwise(n, build, block=rows * m1)
-        return out.reshape(-1)
+            np.add(arg.T, 0.0, out=block.imag[:, :m1])  # -0.0 -> +0.0 where v = 0, as the complex product gives
+            np.exp(block, out=block)  # exp(0) = 1 in the pads
+        _blockwise(out.size, build, block=rows * w)
+        return out.reshape(stage_layout(n))
 
     def check_lattice(self, aa: AntiAliasingSet) -> None:
         """Raise ``ValueError`` unless this field was tabulated on ``aa``'s lattice."""
@@ -151,38 +160,79 @@ def four_step_split(n: int) -> tuple[int, int] | None:
     return (m1, n // m1) if n >= _FOUR_STEP_MIN and n & (n - 1) == 0 else None
 
 
+def stage_layout(n: int) -> tuple[int, ...]:
+    """The shape the stages hold a length-n vector in: where ``four_step_split`` gives (m1, m2), m2 rows of
+    m1 + 1, the last entry a pad, so that the pair's column passes stride by (m1 + 1) * 16 B and not by a
+    power of two, which maps a column onto a few cache sets; else (n,), one plain row."""
+    split = four_step_split(n)
+    return (split[1], split[0] + 1) if split else (n,)
+
+
+def stage_copy(v: np.ndarray) -> np.ndarray:
+    """A copy of the n-vector ``v`` in ``stage_layout(n)``, with 0 in the pads."""
+    shape = stage_layout(v.size)
+    if len(shape) == 1:
+        return v.copy()
+    out = np.empty(shape, v.dtype)
+    out[:, -1] = 0
+    out[:, :-1] = v.reshape(shape[0], -1)
+    return out
+
+
+def stage_compact(work: np.ndarray) -> np.ndarray:
+    """The n-vector ``work`` holds in ``stage_layout(n)``: its rows moved over the pads in place, front to
+    back, and the first n entries returned (a view; the m2 entries behind them are spare)."""
+    if work.ndim == 1:
+        return work
+    (m2, w), flat = work.shape, work.reshape(-1)
+    for r in range(1, m2):  # a 1-D copy to lower addresses runs forward, so it reads before it overwrites
+        flat[r * (w - 1):(r + 1) * (w - 1)] = work[r, :-1]
+    return flat[:m2 * (w - 1)]
+
+
 @functools.lru_cache(maxsize=4)
 def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The four-step pair's read-only twiddle tables: ``lo`` within a block of rows, ``hi`` per block."""
+    """The four-step pair's read-only twiddle tables in the stage layout (0 in the pads): ``lo`` within a
+    block of rows, ``hi`` per block."""
     (m1, m2), rows = (split := four_step_split(n)), max(_BLOCK // split[0], math.isqrt(split[1]))
-    lo, hi = (np.exp((2j * np.pi / n) * (np.outer(j, range(m1)) % n)) for j in (range(rows), range(0, m2, rows)))
+    lo, hi = (np.pad(np.exp((2j * np.pi / n) * (np.outer(j, range(m1)) % n)), ((0, 0), (0, 1)))
+              for j in (range(rows), range(0, m2, rows)))
     lo.flags.writeable = hi.flags.writeable = False
     return lo, hi
 
 
-def potential_stage(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Inverse FFT, times ``PotentialField.phases``, forward FFT, in place; four-step on (m2, m1)
-    from ``four_step_split``, a block of rows at a time (``lattice._blockwise``), row r + l's twiddle
-    ``hi[r] lo[l]`` in the thread's own buffer, the batched passes on ``stage_workers(n)`` threads."""
-    if (split := four_step_split(coeffs.size)) is None:
-        x = scipy.fft.ifft(coeffs, overwrite_x=True)
+def potential_stage(work: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Inverse FFT, times ``PotentialField.phases``, forward FFT, in place on ``work`` in ``stage_layout(n)``
+    (``stage_copy``), which it returns; ``ValueError`` unless ``work`` and ``phases`` are both in it.
+
+    A plain n-vector runs the 1-D pair.  m2 rows of m1 + 1 run the four-step pair: the column passes
+    over ``[:, :m1]`` on ``stage_workers(n)`` threads, between them a block of whole padded rows at a
+    time (``lattice._blockwise``), row r + l's twiddle ``hi[r] lo[l]`` in the thread's own buffer."""
+    shape = work.shape
+    n = work.size if work.ndim == 1 else shape[0] * (shape[-1] - 1)
+    if shape != stage_layout(n) or phases.shape != shape:
+        raise ValueError(f"work {shape} and phases {phases.shape} must both have stage_layout({n}) = "
+                         f"{stage_layout(n)}")
+    if work.ndim == 1:
+        x = scipy.fft.ifft(work, overwrite_x=True)
         x *= phases
         return scipy.fft.fft(x, overwrite_x=True)
-    (m1, m2), (lo, hi), workers = split, _twiddles(coeffs.size), stage_workers(coeffs.size)
-    c, p = coeffs.reshape(m2, m1), phases.reshape(m2, m1)
+    (m2, w), (lo, hi), workers = shape, _twiddles(n), stage_workers(n)
+    columns = work[:, :w - 1]
 
     def middle(start: int, stop: int, buf: np.ndarray) -> None:
-        r, s = start // m1, stop // m1
-        twiddle = np.multiply(lo[:s - r], hi[r // len(lo)], out=buf.reshape(-1, m1))
-        block = c[r:s]
+        r, s = start // w, stop // w
+        twiddle = np.multiply(lo[:s - r], hi[r // len(lo)], out=buf.reshape(-1, w))
+        block = work[r:s]
         block *= twiddle
-        scipy.fft.ifft(block, axis=1, overwrite_x=True)
-        block *= p[r:s]
-        scipy.fft.fft(block, axis=1, overwrite_x=True)
+        scipy.fft.ifft(block[:, :w - 1], axis=1, overwrite_x=True)
+        block *= phases[r:s]
+        scipy.fft.fft(block[:, :w - 1], axis=1, overwrite_x=True)
         block *= np.conjugate(twiddle, out=twiddle)
-    scipy.fft.ifft(c, axis=0, overwrite_x=True, workers=workers)
-    _blockwise(coeffs.size, middle, lo.dtype, block=lo.size)
-    return scipy.fft.fft(c, axis=0, overwrite_x=True, workers=workers).reshape(-1)
+    scipy.fft.ifft(columns, axis=0, overwrite_x=True, workers=workers)
+    _blockwise(work.size, middle, lo.dtype, block=lo.size)
+    scipy.fft.fft(columns, axis=0, overwrite_x=True, workers=workers)
+    return work
 
 
 def kinetic_apply(state: SpectralState, kt: KineticTable, a: float, dt: float) -> SpectralState:
@@ -200,8 +250,8 @@ def potential_apply(state: SpectralState, pf: PotentialField, b: float, dt: floa
     pf.check_lattice(state.aa)
     if b == 0.0 or dt == 0.0:
         return state.copy()
-    coeffs = potential_stage(state.coeffs.copy(), pf.phases(b, dt, epsilon))
-    return SpectralState(coeffs, state.aa, state.time)
+    work = potential_stage(stage_copy(state.coeffs), pf.phases(b, dt, epsilon))
+    return SpectralState(stage_compact(work), state.aa, state.time)
 
 
 def _centered_square(x: np.ndarray) -> np.ndarray:

@@ -9,12 +9,15 @@ Each ``evolve`` call builds one stage plan for all its steps, so pass m steps
 rather than looping over single steps.  The plan holds one phase n-vector per
 distinct nonzero ``b`` and one phase table over the kinetic table's rates (one
 per squared norm, at most n) per distinct nonzero ``a``.  The stages run in
-place on one evolving copy of the state: a kinetic stage gathers its phases
-block by block, and a potential stage runs its FFT pair (with pocketfft's
-n-vector of scratch on the 1-D pair, a twiddle buffer per thread made by each
-call on the four-step pair; see ``SplittingScheme.plan_vectors``).  Both, and
-the phase build, run on ``EvolutionRecord.workers`` = ``lattice.stage_workers(n)``
-threads.
+place on one evolving copy of the state, held in ``operators.stage_layout(n)``
+(from n = 2^15, m2 rows of m1 + 1 with a pad per row, as are the phase vectors
+and, once per call, the kinetic index): a kinetic stage gathers its phases
+block by block over the flat padded buffer, and a potential stage runs its FFT
+pair (with pocketfft's n-vector of scratch on the 1-D pair, a twiddle buffer per
+thread made by each call on the four-step pair; see ``SplittingScheme.plan_vectors``).
+Both, and the phase build, run on ``EvolutionRecord.workers`` =
+``lattice.stage_workers(n)`` threads.  At the end the copy's rows are moved over
+the pads in place, and its first n entries are the result.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import stage_workers
-from .operators import KineticTable, PotentialField, four_step_split, kinetic_stage, potential_stage
+from .operators import (KineticTable, PotentialField, four_step_split, kinetic_stage, potential_stage, stage_compact,
+                        stage_copy)
 from .transform import SpectralState, vector_norm
 
 __all__ = [
@@ -60,9 +64,12 @@ class SplittingScheme:
 
     def plan_vectors(self, n: int) -> int:
         """Complex n-vectors ``evolve`` holds at length n: one per distinct nonzero b, state,
-        copy, and pocketfft's scratch where the potential stage runs the 1-D pair.
+        copy, and pocketfft's scratch where the potential stage runs the 1-D pair.  Where the four-step
+        pair runs, the copy and each phase vector hold n + m2 entries (``operators.stage_layout``).
 
-        Not counted: the set (``paper-d4``: 6 MiB, 0.375 n-vectors), the kinetic index (int16 on ``paper-d2``),
+        Not counted: the set (``paper-d4``: 6 MiB, 0.375 n-vectors), the kinetic index (int16 on ``paper-d2``)
+        and its padded copy made per call (n + m2 entries in the index's type: 128 KiB on ``paper-d2``,
+        2 MiB on ``paper-d4``),
         one kinetic phase table per distinct nonzero a over the rates (at most n; ``paper-d2``'s 8 277 norms:
         1.1 n-vectors for ``s17odr8a``), and the four-step pair's twiddle tables and block buffer per thread,
         made by each stage call (n/2 at 2^16; n/8 at 2^20, n/16 at 2^24 on two)."""
@@ -156,21 +163,23 @@ def evolve(state: SpectralState, sch: SplittingScheme, kt: KineticTable, pf: Pot
         raise ValueError(f"epsilon = {epsilon!r} differs from the kinetic table's {kt.epsilon!r}")
     pf.check_lattice(state.aa)
     kt.check_set(state.aa)
-    # copied before the plan is built, so that the plan's arrays lie above the
-    # result on the heap and go back to the system when the call returns
-    coeffs = state.coeffs.copy()
+    # the evolving copy, in the stages' layout, is made before the plan, so that the plan's arrays lie
+    # above it on the heap and go back to the system when the call returns; compacted in place, it is the result
+    work = stage_copy(state.coeffs)
+    flat, index = work.reshape(-1), (kt.index if work.ndim == 1 else stage_copy(kt.index).reshape(-1))
     kin = {a: kt.phases(a, dt) for a in {a for a, _ in sch.stages} - {0.0}}
     pot = {b: pf.phases(b, dt, epsilon) for b in {b for _, b in sch.stages} - {0.0}}
     t0 = _time.perf_counter()
     for k in range(m):
         for a, b in reversed(sch.stages):
             if a != 0.0:
-                kinetic_stage(coeffs, kin[a], kt.index)
+                kinetic_stage(flat, kin[a], index)
             if b != 0.0:
-                coeffs = potential_stage(coeffs, pot[b])
-        if not np.all(np.isfinite(coeffs)):
+                potential_stage(work, pot[b])
+        if not np.all(np.isfinite(work)):
             raise FloatingPointError(f"non-finite coefficients after step {k + 1} of {m}")
     wall = _time.perf_counter() - t0
+    coeffs = stage_compact(work)
     out = SpectralState(coeffs, state.aa, state.time + m * dt)
     pairs = m * sum(b != 0.0 for _, b in sch.stages)
     rec = EvolutionRecord(m, dt, wall, vector_norm(coeffs), pairs, stage_workers(coeffs.size))

@@ -158,10 +158,14 @@ def test_bad_input_after_the_set_exits_in_one_line(tmp_path, monkeypatch, capsys
     ({"d": 2, "n": None, "z": [1, 19]}, "lattice: n = None is not an integer"),
     ({"d": 2, "n": 64, "z": 19}, "lattice: z = 19 is not a list"),
     ([2, 64, [1, 19]], "lattice: cannot load lattice from [2, 64, [1, 19]]"),
+    ({"d": True, "n": 5, "z": [1]}, "lattice: d = True is not an integer"),
+    ({"d": 1, "n": False, "z": [1]}, "lattice: n = False is not an integer"),
+    ({"d": 2, "n": 64, "z": [1, True]}, "lattice: z[1] = True is not an integer"),
 ])
 def test_lattice_file_missing_or_incomplete_exits_in_one_line(tmp_path, capsys, doc, message):
-    """A ``--lattice`` file that does not exist, lacks a field, holds a field of the wrong type or is not a
-    JSON object is refused in one line, not a traceback."""
+    """A ``--lattice`` file that does not exist, lacks a field, holds a field of the wrong type (a JSON
+    boolean included, which Python counts as an integer) or is not a JSON object is refused in one line,
+    not a traceback."""
     path = tmp_path / "lat.json"
     if doc is not None:
         path.write_text(json.dumps(doc))
@@ -227,10 +231,16 @@ def test_large_lattice_file_guard(tmp_path, monkeypatch, capsys, cmd):
     ({"preset": "paper-d2", "sweep_steps": [4, None]}, "converge: sweep_steps = [4, None] is not a list of integers"),
     ({"preset": "paper-d2", "epsilon": "0.5"}, "converge: epsilon = '0.5' is not of type float"),
     ({"preset": "paper-d2", "reference_steps": None}, "converge: reference_steps = None is not of type int"),
+    ({"preset": "paper-d2", "epsilon": True}, "converge: epsilon = True is not of type float"),
+    ({"preset": "paper-d2", "final_time": False}, "converge: final_time = False is not of type float"),
+    ({"preset": "paper-d2", "reference_steps": True}, "converge: reference_steps = True is not of type int"),
+    ({"preset": "paper-d2", "sweep_steps": [True, 4]},
+     "converge: sweep_steps = [True, 4] is not a list of integers"),
 ])
 def test_converge_config_missing_or_mistyped_exits_in_one_line(tmp_path, capsys, doc, message):
-    """A ``--config`` file that does not exist, is not a JSON object or has a field of the wrong type is
-    refused in one line that names the file or the field, not a traceback."""
+    """A ``--config`` file that does not exist, is not a JSON object or has a field of the wrong type (a
+    JSON boolean for a number included) is refused in one line that names the file or the field, not a
+    traceback."""
     path = tmp_path / "cfg.json"
     if doc is not None:
         path.write_text(json.dumps(doc))

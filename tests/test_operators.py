@@ -189,11 +189,28 @@ def _stage_order(n):
     return np.arange(n) if split is None else np.arange(n).reshape(split).T.ravel()
 
 
+def _in_layout(v, pad):
+    """The n-vector ``v`` in ``stage_layout(n)``, with ``pad`` in the pads (a state's 0, a phase's 1)."""
+    out = operators.stage_copy(v)
+    if out.ndim == 2:
+        out[:, -1] = pad
+    return out
+
+
+def _read_layout(a, n, pad):
+    """The n values ``a`` holds in ``stage_layout(n)``, once its shape and its pads (all ``pad``) are asserted."""
+    assert a.shape == operators.stage_layout(n)
+    if a.ndim == 1:
+        return a
+    assert np.array_equal(a[:, -1], np.full(a.shape[0], pad, a.dtype))
+    return a[:, :-1].reshape(-1)
+
+
 @pytest.mark.parametrize("lat", [Rank1Lattice(2, 64, (1, 19)), cbc_construct(3, 2**10),
                                  load_lattice("paper-d2")], ids=lambda lat: f"d{lat.d}-n{lat.n}")
 def test_potential_phases_bit_identical_to_complex_product(lat):
     """The in-place phases carry the bits, signed zeros included, of the complex product,
-    in the stage's order (paper-d2, n = 2^16, runs the four-step pair)."""
+    in the stage's order and layout, 1 in the pads (paper-d2, n = 2^16, runs the four-step pair)."""
     order = _stage_order(lat.n)
     fields = [make_potential("smooth_v1", lat), make_potential("harmonic_v2", lat),
               _custom(lat, _custom_with_zeros)]
@@ -204,7 +221,7 @@ def test_potential_phases_bit_identical_to_complex_product(lat):
             for dt in (1e-3, 0.25, 1 / 2048, 0.37, -0.01):
                 for eps in (1.0, 0.3):
                     want = np.exp(-1j * (b * dt / eps) * pf.values)[order]
-                    got = pf.phases(b, dt, eps)
+                    got = _read_layout(pf.phases(b, dt, eps), lat.n, 1)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (pf.kind, b, dt, eps)
 
 
@@ -219,7 +236,8 @@ def test_potential_phases_blocked_build_bit_identical(n, workers, monkeypatch):
     pf = PotentialField(values, "custom", Rank1Lattice(1, n, (1,)))
     for b, dt, eps in ((0.5, 0.01, 1.0), (-0.155248405110362, 1 / 2048, 0.3)):
         want = np.exp(-1j * (b * dt / eps) * values)[_stage_order(n)]
-        assert np.array_equal(pf.phases(b, dt, eps).view(np.uint64), want.view(np.uint64)), (b, dt, eps)
+        got = _read_layout(pf.phases(b, dt, eps), n, 1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (b, dt, eps)
     assert (len(threads) > 1) == (workers > 1)
 
 
@@ -257,11 +275,13 @@ def _random_pair_inputs(n, seed=0):
 
 @pytest.mark.parametrize("n", [2**15, 2**16])
 def test_four_step_pair_matches_1d_pair(n):
-    """The four-step stage, given the phases in its order, agrees with the 1-D pair to 1e-14."""
+    """The four-step stage, given the state and the phases in its order and layout, agrees with the
+    1-D pair to 1e-14."""
     assert operators.four_step_split(n) is not None
     coeffs, phases = _random_pair_inputs(n)
     want = scipy.fft.fft(scipy.fft.ifft(coeffs) * phases)
-    got = operators.potential_stage(coeffs.copy(), phases[_stage_order(n)])
+    work = operators.potential_stage(operators.stage_copy(coeffs), _in_layout(phases[_stage_order(n)], 1))
+    got = _read_layout(work, n, 0)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -285,19 +305,23 @@ def _four_step_reference(coeffs, phases):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("n", [2**15, 2**16, 2**21])
+@pytest.mark.parametrize("n", [2**15, 2**16, 2**18, 2**21])
 def test_four_step_pair_shares_its_tables_and_keeps_its_bits(n, workers, monkeypatch):
     """Every ``potential_stage`` call reuses the read-only twiddle tables of its n, and the pair,
-    on one thread or with its row blocks dealt to three, gives the reference's bits
-    (2^21: m2 = 2 m1, with a partial last block of rows)."""
+    on one thread or with its row blocks dealt to three, gives the reference's bits in the stage
+    layout, 0 in the pads (2^15: m1 = 128; 2^18: m1 = 512; 2^21: m2 = 2 m1, with a partial last
+    block of rows)."""
     threads = _deal_blocks(monkeypatch, workers)
     coeffs, phases = _random_pair_inputs(n)
     want = _four_step_reference(coeffs.copy(), phases)
     assert not any(table.flags.writeable for table in operators._twiddles(n))
+    assert all(np.array_equal(table[:, -1], np.zeros(len(table))) for table in operators._twiddles(n))
     for _ in range(2):
         hits = operators._twiddles.cache_info().hits
-        got = operators.potential_stage(coeffs.copy(), phases)
+        work = operators.stage_copy(coeffs)
+        assert operators.potential_stage(work, _in_layout(phases, 1)) is work
         assert operators._twiddles.cache_info().hits == hits + 1
+        got = _read_layout(work, n, 0)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert (len(threads) > 1) == (workers > 1)
 
@@ -310,6 +334,39 @@ def test_potential_apply_keeps_its_bits_with_shared_tables():
     for _ in range(2):
         out = potential_apply(st, pf, 0.5, 0.01, 1.0)
         assert np.array_equal(out.coeffs.view(np.uint64), want.view(np.uint64))
+
+
+def test_stage_layout_pads_every_four_step_n():
+    """From 2^15 to 2^26 each power of two 2^k is held as 2^k / 2^(k // 2) rows of 2^(k // 2) + 1; every other
+    n, and each power of two below 2^15, as one plain row.  ``stage_copy`` and ``stage_compact`` round-trip."""
+    for k in range(27):
+        m1 = 2 ** (k // 2)
+        assert operators.stage_layout(2**k) == ((2**k // m1, m1 + 1) if k >= 15 else (2**k,))
+        for n in (2**k + 1, 3 * 2**k, 2 ** (k + 1) - 1):
+            assert operators.stage_layout(n) == (n,)
+    for n in (2**13, 2**15, 2**16, 3 * 2**12):
+        v = np.random.default_rng(n).standard_normal(n) + 0j
+        work = operators.stage_copy(v)
+        assert np.array_equal(_read_layout(work, n, 0), v)
+        got = operators.stage_compact(work)
+        assert np.array_equal(got, v) and np.shares_memory(got, work)
+
+
+@pytest.mark.parametrize("n", [2**13, 2**16])
+def test_potential_stage_refuses_work_or_phases_outside_the_layout(n):
+    """A state or phases not in ``stage_layout(n)`` (a natural-order n-vector at a four-step n, phases
+    made for another n) is refused, not transformed."""
+    coeffs, phases = _random_pair_inputs(n)
+    work, phases = operators.stage_copy(coeffs), _in_layout(phases, 1)
+    other = _in_layout(_random_pair_inputs(2 * n)[1], 1)
+    cases = [(work, other), (other, phases)]
+    if work.ndim == 2:  # a natural-order n-vector, and phases flattened with their pads
+        cases += [(coeffs.copy(), phases), (work, phases.reshape(-1))]
+    for args in cases:
+        before = args[0].copy()
+        with pytest.raises(ValueError, match="stage_layout"):
+            operators.potential_stage(*args)
+        assert np.array_equal(args[0], before)
 
 
 @pytest.mark.parametrize("n", [2**13, 65537, 3 * 2**14])

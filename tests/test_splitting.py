@@ -225,6 +225,22 @@ def test_evolve_equals_stage_composition_four_step(setup_four_step, sch):
     test_evolve_equals_stage_composition(setup_four_step, sch)
 
 
+@pytest.fixture(scope="module", params=[2**15, 2**18], ids=lambda n: f"n{n}")
+def setup_four_step_cbc(request):
+    lat = cbc_construct(2, request.param)
+    aa = antialias.build(lat)
+    return {"aa": aa, "kt": make_kinetic(aa), "pf": make_potential("smooth_v1", lat), "st": make_gaussian(aa)}
+
+
+@pytest.mark.parametrize("sch", _COMPOSITION_SCHEMES, ids=lambda sch: sch.name)
+def test_evolve_equals_stage_composition_padded_rows(setup_four_step_cbc, sch):
+    """The same on CBC d = 2 lattices of n = 2^15 (m1 = 128) and 2^18 (m1 = 512), whose evolving copy is
+    held as m2 rows of m1 + 1."""
+    m1, m2 = operators.four_step_split(setup_four_step_cbc["aa"].n)
+    assert operators.stage_layout(m1 * m2) == (m2, m1 + 1)
+    test_evolve_equals_stage_composition(setup_four_step_cbc, sch)
+
+
 @pytest.mark.parametrize("block", [5, 7])
 @pytest.mark.parametrize("sch", _COMPOSITION_SCHEMES, ids=lambda sch: sch.name)
 def test_evolve_equals_stage_composition_across_blocks(setup, sch, block, monkeypatch):
