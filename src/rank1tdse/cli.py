@@ -27,14 +27,18 @@ def _resolve_lattice(args, lat: Rank1Lattice | None = None) -> Rank1Lattice:
         if not (args.lattice or args.preset):
             raise SystemExit("specify --preset or --lattice")
         lat = load_lattice(args.lattice or args.preset)
-    if lat.n >= _LARGE_N and not args.large:
-        msg = f"lattice has n = {lat.n}"
-        if args.command == "solve":
-            vec = scheme(args.scheme).plan_vectors(lat.n)
-            gib = 16 * vec * lat.n / 2**30
-            msg += f" ({args.scheme} evolve holds {vec} complex n-vectors, {gib:.1f} GiB)"
-        raise SystemExit(f"{msg}; pass --large to confirm")
+    detail = ""
+    if args.command == "solve" and lat.n >= _LARGE_N:
+        vec = scheme(args.scheme).plan_vectors(lat.n)
+        detail = f" ({args.scheme} evolve holds {vec} complex n-vectors, {16 * vec * lat.n / 2**30:.1f} GiB)"
+    _confirm_large(args, lat.n, detail)
     return lat
+
+
+def _confirm_large(args, n: int, detail: str = "") -> None:
+    """Refuse a lattice with n >= 2^22 unless ``--large`` was passed."""
+    if n >= _LARGE_N and not args.large:
+        raise SystemExit(f"lattice has n = {n}{detail}; pass --large to confirm")
 
 
 def _add_lattice_args(p: argparse.ArgumentParser) -> None:
@@ -50,6 +54,7 @@ def _step_counts(text: str) -> list[int]:
 
 def _cmd_lattice(args) -> int:
     if args.action == "gen":
+        _confirm_large(args, args.n)
         lat = cbc_construct(args.d, args.n)
     else:
         lat = _resolve_lattice(args)
@@ -136,8 +141,7 @@ def _cmd_diagnose(args) -> int:
         return 0 if dev <= 1e-10 else 1
     # commutator sweep over the given moduli, CBC vectors per n; bad input is refused before any set is built
     diagnostics.check_commutator_input(args.p, args.epsilon)
-    if max(args.n_values) >= _LARGE_N and not args.large:
-        raise SystemExit(f"lattice has n = {max(args.n_values)}; pass --large to confirm")
+    _confirm_large(args, max(args.n_values))
     subs = [cbc_construct(lat.d, n) if lat.n != n else lat for n in args.n_values]
     pairs = [(sub, antialias.cached_build(sub, cache_dir)) for sub in subs]
     if args.contrast:

@@ -166,9 +166,9 @@ def _korobov_kernel_table(n: int) -> np.ndarray:
 
 #: Tie tolerance of ``cbc_construct``, in units of ``||p||_2 ||omega||_2 / sqrt(n)``.
 #: Against long-double direct sums over each component's 48 lowest-scoring units,
-#: the FFT score errs by at most 3.8e-15 at n <= 2^16 (d <= 8) and 2.3e-15 at
-#: 2^24; the next score above a tie set lies at least 8.9e-8 (n <= 2^16), 2.7e-10
-#: (2^20) and 4.9e-12 (2^24) above the least.
+#: the FFT score errs by at most 4.3e-15 at n <= 2^16 (d <= 8), 1.4e-15 at 2^20 and
+#: 2.6e-15 at 2^24; the next score above a tie set lies at least 8.9e-8 (n <= 2^16),
+#: 2.7e-10 (2^20) and 4.9e-12 (2^24) above the least.
 _TIE_TOL = 1e-13
 
 
@@ -224,32 +224,46 @@ def _unit_group(n: int) -> np.ndarray:
     return table
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of ``n``, ascending."""
+    out = [1]
+    for q, e in _prime_factors(n).items():
+        out = [g * q**i for g in out for i in range(e + 1)]
+    return sorted(out)
+
+
 def _tie_sets(n: int, z: list[int]):
     """Yield, for i = 0, 1, ..., the ascending units c of Z_n tied for the least score
     ``sum_k p[k] omega(k c / n)``, ``p[k] = prod_{l <= i} (1 + omega(k z[l] / n))``;
-    ``z[i]`` is read when set i is asked for, so the caller may extend ``z`` meanwhile."""
-    omega = _korobov_kernel_table(n)
-    divisors = [1]
-    for q, e in _prime_factors(n).items():
-        divisors = [g * q**i for g in divisors for i in range(e + 1)]
-    # per divisor g < n: the units u of Z_{n/g} and the spectrum of omega(g u / n)
+    ``z[i]`` is read when set i is asked for, so the caller may extend ``z`` meanwhile.
+
+    The terms with ``gcd(k, n) = g < n`` (k = 0 adds the same to every score and is left out) form a
+    correlation over U(n/g), laid out as the leading block of ``_unit_group(n)`` reduced mod n/g: per
+    axis, the exponents below the order of that axis's generator mod n/g.  Pulled back to U(n) the
+    correlation tiles that block, so its spectrum sits on every (axis / block)-th frequency of U(n)'s
+    half-spectrum, times the tile count: each level adds one real FFT there, and one inverse FFT per
+    component scores every unit."""
+    omega, units = _korobov_kernel_table(n), _unit_group(n)
+    # per axis: its generator (the unit of exponent 1 there, 0 elsewhere) and the divisors of its length
+    axes = [(units.item(*(int(a == i) % s for a, s in enumerate(units.shape))), _divisors(size))
+            for i, size in enumerate(units.shape)]
+    # per divisor g < n: where its spectrum sits, the indices g u of its block's units u, and the
+    # tile count times the spectrum of omega(g u / n)
     levels = []
-    for g in sorted(divisors)[:-1]:
-        units = _unit_group(n // g)
-        levels.append((g, units, scipy.fft.rfftn(omega[g * units])))
-    candidates = np.sort(levels[0][1], axis=None)
+    for g in _divisors(n)[:-1]:
+        block = [min(j for j in divs if pow(x, j, n // g) == 1) for x, divs in axes]
+        idx = (g * (units[tuple(map(slice, block))] % (n // g))).astype(np.int32 if n < 2**31 else np.int64)
+        at = tuple(slice(None, None, size // b) for size, b in zip(units.shape, block))
+        levels.append((at, idx, units.size // idx.size * scipy.fft.rfftn(omega[idx])))
     prods = np.ones(n)
     for i in itertools.count():
         prods *= 1.0 + omega[np.arange(n) * z[i] % n]
-        score = np.full(candidates.size, prods[0] * omega[0])
-        for g, units, spectrum in levels:
-            corr = scipy.fft.irfftn(np.conj(scipy.fft.rfftn(prods[g * units])) * spectrum,
-                                    units.shape)
-            by_residue = np.empty(n // g)
-            by_residue[units] = corr
-            score += by_residue[candidates % (n // g)]
+        spectrum = np.zeros(units.shape[:-1] + (units.shape[-1] // 2 + 1,), complex)
+        for at, idx, kernel in levels:
+            spectrum[at] += np.conj(scipy.fft.rfftn(prods[idx])) * kernel
+        score = scipy.fft.irfftn(spectrum, units.shape)
         tol = _TIE_TOL * np.sqrt(np.sum(prods * prods) * np.sum(omega * omega) / n)
-        yield candidates[score <= score.min() + tol]
+        yield np.sort(units[score <= score.min() + tol])
 
 
 def cbc_construct(d: int, n: int) -> Rank1Lattice:
@@ -260,11 +274,12 @@ def cbc_construct(d: int, n: int) -> Rank1Lattice:
     the components already fixed.  A unit scores ``sum_k p[k] omega(k c / n)``,
     without the constant ``sum_k p[k]``, and all scores come at once from the
     fast CBC of Nuyens--Cools: the terms with ``gcd(k, n) = g`` form a correlation
-    over the unit group of Z_{n/g}, one real FFT, so a component costs O(n log n).
+    over the unit group of Z_{n/g}, one real FFT per divisor g, summed in the spectrum
+    of U(n) and scored by one inverse FFT per component, so a component costs O(n log n).
     Exact ties are common (c ~ n - c, and c ~ c^-1 for component 2), so c is the
     smallest unit scoring within ``_TIE_TOL ||p||_2 ||omega||_2 / sqrt(n)`` of the
     least.  Measured in these units up to n = 2^24 (see ``_TIE_TOL``), the FFT errs by
-    at most 3.8e-15 and every score outside the tie set lies 4.9e-12 or more above it.
+    at most 4.3e-15 and every score outside the tie set lies 4.9e-12 or more above it.
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")

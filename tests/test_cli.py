@@ -121,6 +121,7 @@ def test_lattice_gen_bytes_do_not_depend_on_blas_threads(tmp_path, python_child)
      "diagnose: need n >= 2 and d >= 1"),
     (["converge", "--preset", "paper-d2", "--sweep", "4,0", "--cache-dir", "c"],
      "converge: all sweep step counts must be >= 1"),
+    (["lattice", "gen", "--n", "4194304"], "lattice has n = 4194304; pass --large to confirm"),
 ])
 def test_bad_input_exits_in_one_line(tmp_path, monkeypatch, capsys, cmd, message):
     """Bad numbers end the command with a one-line message, not a traceback, before any work."""

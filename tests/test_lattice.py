@@ -220,6 +220,8 @@ def _slow_cbc(d: int, n: int) -> tuple[int, ...]:
     (5, 9), (5, 125), (5, 343), (8, 2187), (8, 2401), (8, 3125), (5, 1155),
     # even composites
     (5, 12), (5, 30), (5, 210), (8, 864), (8, 1000), (8, 2310), (8, 6000),
+    # layouts of several axes, most of whose levels take proper blocks on more than one of them
+    (5, 100), (5, 162), (5, 224), (5, 360), (5, 1089),
 ])
 def test_cbc_equals_direct_search(d, n):
     assert cbc_construct(d, n).z == _slow_cbc(d, n)
@@ -233,10 +235,17 @@ def test_cbc_pinned_vectors(d, n, z):
     assert cbc_construct(d, n).z == z
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 64, 9, 3**7, 30, 1000, 2310])
+@pytest.mark.parametrize("n", [2, 4, 8, 64, 9, 3**7, 30, 100, 162, 224, 360, 1000, 1089, 2310])
 def test_unit_group_layout(n):
     table = _unit_group(n)
     assert sorted(table.ravel().tolist()) == [c for c in range(1, n) if math.gcd(c, n) == 1]
+    # per divisor m of n, the leading block under each axis's order mod m holds every unit of Z_m once
+    gens = [table.item(*(int(a == i) for a in range(table.ndim))) if size > 1 else 1
+            for i, size in enumerate(table.shape)]
+    for m in (m for m in range(2, n + 1) if n % m == 0):
+        block = [next(j for j in range(1, size + 1) if pow(x, j, m) == 1) for x, size in zip(gens, table.shape)]
+        assert sorted((table[tuple(map(slice, block))] % m).ravel().tolist()) == \
+            [c for c in range(1, m) if math.gcd(c, m) == 1]
     # multiplying units adds their indices cyclically along every axis
     rng = np.random.default_rng(0)
     for _ in range(20):
