@@ -4,8 +4,9 @@ For a rank-1 lattice (z, n) the anti-aliasing set picks, for every residue
 ``xi = h . z mod n``, one integer frequency vector ``h_xi`` of that residue
 with the smallest Euclidean norm, the lexicographically first among ties,
 so the set is reproducible bit for bit.  :func:`build` computes it from that
-definition with a min-plus recursion over the residues, in O(n d) memory: the
-set itself plus two n-vectors of packed (norm, t) keys, int32 unless the
+definition with a min-plus recursion over the residues (its first level a
+scatter-min from the residues the last coordinate reaches), in O(n d) memory:
+the set itself plus two n-vectors of packed (norm, t) keys, int32 unless the
 coordinate bound is large.  The set holds h and ||h||^2 each in the narrowest
 integer type that holds them (``_narrow``): int8 and int16 at ``paper-d4``.
 """
@@ -116,23 +117,38 @@ def _min_plus(lattice: Rank1Lattice, radius: int, freq: np.ndarray, norms2: np.n
     box reaches no vector) and level k's chosen ``t`` at residue ``r`` into ``freq[r, k]``.
 
     A level is minimized over packed keys ``norm (2R + 1) + t + R``: the least key is the
-    least norm and, among equal norms, the smallest t.  Each block of ``_BLOCK`` residues runs
-    through all 2R + 1 shifts, so it stays in cache, on one of ``stage_workers(n)`` threads; then
-    each key is split into t, kept in ``freq``, and ``norm (2R + 1)``, the next level's input.
+    least norm and, among equal norms, the smallest t.  Level d - 2's input, the last
+    coordinate alone, reaches only ``min(2R + 1, n)`` residues, so that level scatters their
+    2R + 1 shifted keys each by ``np.minimum.at``, whole rows of t per call.  Each further
+    level runs every block of ``_BLOCK`` residues through all 2R + 1 shifts, so it stays in
+    cache, on one of ``stage_workers(n)`` threads.  Then each key is split into t, kept in
+    ``freq``, and ``norm (2R + 1)``, the next level's input.
     """
     n, d, z = lattice.n, lattice.d, lattice.z
     width = 2 * radius + 1
+    top = width * (d * radius * radius + 1)  # unreached: a multiple of 2R + 1 above every key
     dtype = _key_dtype(d, radius)
     # last coordinate alone: in (t^2, t) order the first t per residue wins
     t = np.arange(-radius, radius + 1, dtype=np.int64)
     t = t[np.argsort(t * t, kind="stable")]
     res, first = np.unique(t * z[-1] % n, return_index=True)
-    # unreached: a multiple of 2R + 1 above every key, so its minimum (at t = 0) splits back into it
-    g = np.full(n, width * (d * radius * radius + 1), dtype=dtype)
+    g = np.full(n, top, dtype=dtype)
     g[res] = t[first] ** 2 * width
     freq[res, -1] = t[first]
-    best = np.empty_like(g)
-    for k in range(d - 2, -1, -1):
+    if d > 1:
+        # level d - 2 from the reached residues: an unreached one keeps the dense level's t = 0 key
+        best, reached = np.full(n, top + radius, dtype=dtype), g[res]
+        rows = max(1, min(n, _BLOCK // 4) // len(res))
+        for lo in range(-radius, radius + 1, rows):  # raveled: numpy's fast ufunc.at path takes 1-D operands
+            tk = np.arange(lo, min(lo + rows, radius + 1), dtype=np.int64)[:, None]
+            keys = reached + (tk * tk * width + tk + radius).astype(dtype)
+            np.minimum.at(best, ((tk * z[-2] + res) % n).ravel(), keys.ravel())
+        np.remainder(best, width, out=g)  # t + R, into the spent input; best keeps the norm times 2R + 1
+        best -= g
+        g -= radius
+        freq[:, -2] = g
+        g, best = best, g
+    for k in range(d - 3, -1, -1):
         # best[r] = min_t g[r - t z_k mod n] + t^2 (2R + 1) + t + R, one block of r at a time
         def level(lo: int, hi: int, tmp: np.ndarray) -> None:
             blk = best[lo:hi]
@@ -159,18 +175,22 @@ def build(lattice: Rank1Lattice, budget: int = 1 << 36) -> AntiAliasingSet:
 
     With every ``|h_k| <= R``, ``g_k(r) = min_{|t| <= R} t^2 + g_{k+1}(r - t z_k)``
     is the least ``h_k^2 + ... + h_d^2`` with ``h_k z_k + ... + h_d z_d == r``
-    (mod n): one cyclic shift of an n-vector per ``t``, taken as one add and one
-    minimum over packed (norm, t) keys, block by block.  The smallest ``t`` wins
-    ties, which picks the lexicographically first vector of least norm.  The
-    result is exact once ``R >= isqrt(max g_1)``; until then, and while a residue
-    is unreached, the build reruns with a larger ``R``.  Raises
-    :class:`BudgetExceededError` before a pass if the (residue, t) pairs examined
-    in total, ``(2R + 1) (1 + (d - 1) n)`` per pass, would exceed ``budget``.
+    (mod n), taken over packed (norm, t) keys: for ``k = d - 1`` a scatter-min of
+    the ``min(2R + 1, n)`` residues ``g_d`` reaches times the 2R + 1 values of t,
+    below it one cyclic shift of an n-vector per ``t``, one add and one minimum
+    block by block.  The smallest ``t`` wins ties, which picks the
+    lexicographically first vector of least norm.  The result is exact once
+    ``R >= isqrt(max g_1)``; until then, and while a residue is unreached, the
+    build reruns with a larger ``R``.  Raises :class:`BudgetExceededError` before
+    a pass if the (residue, t) pairs examined in total, ``2R + 1`` per pass for
+    d = 1 and ``(2R + 1) (1 + min(2R + 1, n) + (d - 2) n)`` for d >= 2, would
+    exceed ``budget``.
     """
     n, d = lattice.n, lattice.d
     radius, examined, freq = math.isqrt(_initial_r2(d, n)) + 2, 0, None
     while True:
-        pairs = (2 * radius + 1) * (1 + (d - 1) * n)
+        width = 2 * radius + 1
+        pairs = width * (1 + (min(width, n) + (d - 2) * n if d > 1 else 0))
         if examined + pairs > budget:
             raise BudgetExceededError(f"a pass at R = {radius} needs {pairs} pairs, {budget - examined} left")
         examined += pairs

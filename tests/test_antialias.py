@@ -78,6 +78,8 @@ ORACLE_LATTICES = {
     "d3": lambda: Rank1Lattice(3, 512, (1, 131, 217)),
     "d4": lambda: Rank1Lattice(4, 512, (1, 149, 113, 207)),
     "d5": lambda: Rank1Lattice(5, 256, (1, 75, 23, 57, 31)),
+    "d3-wrap": lambda: Rank1Lattice(3, 5, (1, 2, 3)),  # 2R + 1 = 7 > n: the scatter's residues repeat
+    "cbc-d2": lambda: cbc_construct(2, 2**14),  # 209^2 = 43 681 scatter candidates, several default chunks
 }
 
 
@@ -95,9 +97,10 @@ def test_build_equals_whole_ball_reference(oracle_case, variant, monkeypatch):
     ``small`` starts every build at coordinate bound 3, so across the
     lattices both reruns happen: after an unreached residue (``d1-wide``,
     ``d2-wide``, ``d2``) and after ``isqrt(max g_1)`` exceeded the bound
-    (``cbc-d3``).  ``block7`` cuts every level into blocks of 7 residues, so
-    each d >= 2 lattice but ``tiny`` spans several blocks, ends in a partial
-    one and has windows that wrap past n.  ``int64`` forces the wide keys.
+    (``cbc-d3``).  ``block7`` cuts every dense level into blocks of 7 residues,
+    so each d >= 3 lattice but ``d3-wrap`` spans several blocks, ends in a
+    partial one and has windows that wrap past n, and the scatter level into
+    one row of t per call.  ``int64`` forces the wide keys.
     """
     lat, (freq, norms2) = oracle_case
     if variant == "small":
@@ -154,29 +157,36 @@ def test_key_width_follows_d_and_radius():
 
 
 def test_build_memory_is_order_n_d(peak_bytes):
-    """A desk-scale d = 4 build peaks at O(n d) bytes; the whole-ball reference does not."""
+    """Desk-scale d = 4 and d = 2 builds peak at O(n d) bytes; the whole-ball reference does not."""
     lat = Rank1Lattice(4, 2**14, (1, 6229, 2691, 7737))  # cbc_construct(4, 2**14)
     bound = 32 * lat.n * lat.d
     assert peak_bytes(antialias.build, lat) <= bound
     assert peak_bytes(_reference_build, lat) > bound
+    for lat in (cbc_construct(2, 2**14), load_lattice("paper-d2")):
+        assert peak_bytes(antialias.build, lat) <= 32 * lat.n * lat.d
 
 
 def test_budget_counts_pairs_examined():
-    """The budget is the (residue, t) pairs of every pass: exactly enough passes, one less raises."""
-    lat = Rank1Lattice(2, 256, (1, 1))  # passes at |h_k| <= 14, 28, 56, 112
-    pairs = sum((2 * r + 1) * (1 + lat.n) for r in (14, 28, 56, 112))
-    assert antialias.build(lat, budget=pairs).max_norm2() == 8192
-    with pytest.raises(antialias.BudgetExceededError):
-        antialias.build(lat, budget=pairs - 1)
+    """The budget is the (residue, t) pairs of every pass: exactly enough passes, one less raises.
+
+    A pass examines 2R + 1 pairs for the last coordinate, the min(2R + 1, n) residues it reaches times
+    2R + 1 for the scatter level, and n (2R + 1) for each level below."""
+    for lat, radii, top in ((Rank1Lattice(2, 256, (1, 1)), (14, 28, 56, 112), 8192),
+                            (Rank1Lattice(3, 512, (1, 131, 217)), (8,), 37)):
+        pairs = sum((2 * r + 1) * (1 + min(2 * r + 1, lat.n) + (lat.d - 2) * lat.n) for r in radii)
+        assert antialias.build(lat, budget=pairs).max_norm2() == top
+        with pytest.raises(antialias.BudgetExceededError):
+            antialias.build(lat, budget=pairs - 1)
 
 
 def test_minimality_across_default_blocks():
-    """n above ``_BLOCK`` and no multiple of it: several blocks and a partial last one, unpatched."""
-    lat = Rank1Lattice(2, 100003, (1, 38197))
-    assert lat.n > antialias._BLOCK and lat.n % antialias._BLOCK
-    aa = antialias.build(lat)
-    r = math.isqrt(aa.max_norm2()) + 1
-    assert np.array_equal(brute_force_min_norms(lat, r), aa.norms2)
+    """n above ``_BLOCK`` and no multiple of it: several blocks and a partial last one, unpatched; at
+    d = 3 (``cbc_construct(3, 100003)``) in the dense level, at d = 2 in the scatter level's chunks."""
+    for lat in (Rank1Lattice(2, 100003, (1, 38197)), Rank1Lattice(3, 100003, (1, 38763, 27231))):
+        assert lat.n > antialias._BLOCK and lat.n % antialias._BLOCK
+        aa = antialias.build(lat)
+        r = math.isqrt(aa.max_norm2()) + 1
+        assert np.array_equal(brute_force_min_norms(lat, r), aa.norms2)
 
 
 def test_build_small_example(tiny):
