@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import _BLOCK, Rank1Lattice, _blockwise
+from .lattice import _BLOCK, Rank1Lattice, _blockwise, _mod
 
 __all__ = [
     "AntiAliasingSet",
@@ -131,7 +131,7 @@ def _min_plus(lattice: Rank1Lattice, radius: int, freq: np.ndarray, norms2: np.n
     # last coordinate alone: in (t^2, t) order the first t per residue wins
     t = np.arange(-radius, radius + 1, dtype=np.int64)
     t = t[np.argsort(t * t, kind="stable")]
-    res, first = np.unique(t * z[-1] % n, return_index=True)
+    res, first = np.unique(_mod(t * z[-1], n), return_index=True)
     g = np.full(n, top, dtype=dtype)
     g[res] = t[first] ** 2 * width
     freq[res, -1] = t[first]
@@ -142,7 +142,7 @@ def _min_plus(lattice: Rank1Lattice, radius: int, freq: np.ndarray, norms2: np.n
         for lo in range(-radius, radius + 1, rows):  # raveled: numpy's fast ufunc.at path takes 1-D operands
             tk = np.arange(lo, min(lo + rows, radius + 1), dtype=np.int64)[:, None]
             keys = reached + (tk * tk * width + tk + radius).astype(dtype)
-            np.minimum.at(best, ((tk * z[-2] + res) % n).ravel(), keys.ravel())
+            np.minimum.at(best, _mod(tk * z[-2] + res, n).ravel(), keys.ravel())
         np.remainder(best, width, out=g)  # t + R, into the spent input; best keeps the norm times 2R + 1
         best -= g
         g -= radius
@@ -214,7 +214,7 @@ def build(lattice: Rank1Lattice, budget: int = 1 << 36) -> AntiAliasingSet:
             np.multiply(freq[lo:hi, k - 1], lattice.z[k - 1], out=term, dtype=np.int64)
             blk = res[lo:hi]
             blk -= term
-            blk %= n
+            _mod(blk, n)
             freq[lo:hi, k] = chosen[blk]
         _blockwise(n, read_back, np.int64, block=_BLOCK)
     del res  # before the set's own residue check

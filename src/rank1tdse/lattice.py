@@ -69,6 +69,12 @@ def _blockwise(n: int, task: Callable[..., None], *scratch: type, block: int | N
     list(_pool(workers).map(run, range(workers)))  # raises a task's error
 
 
+def _mod(x: np.ndarray, n: int) -> np.ndarray:
+    """``x mod n`` in place, returned; ``x & (n - 1)`` where n is a power of two (numpy's ``%`` has no SIMD
+    path), which in two's complement is the same floor mod, negatives and int64 wrap included."""
+    return np.bitwise_and(x, n - 1, out=x) if n & (n - 1) == 0 else np.remainder(x, n, out=x)
+
+
 @dataclass(frozen=True)
 class Rank1Lattice:
     """Rank-1 lattice defined by dimension ``d``, modulus ``n`` and vector ``z``.
@@ -100,11 +106,11 @@ class Rank1Lattice:
         return tuple((zj * k) % self.n for zj in self.z)
 
     def numerator_column(self, j: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Numerators ``k z_j mod n``, k = lo..hi-1 (default 0..n-1), int64; all n are a permutation of 0..n-1."""
+        """Numerators ``k z_j mod n``, k = lo..hi-1 (default 0..n-1), int64, reduced in place by ``_mod`` (a mask
+        where n is a power of two); all n are a permutation of 0..n-1."""
         col = np.arange(lo, self.n if hi is None else hi, dtype=np.int64)  # in place: one vector alive, not two
         col *= self.z[j]
-        col %= self.n
-        return col
+        return _mod(col, self.n)
 
     def node_coords(self) -> np.ndarray:
         """(n, d) float64 array of point coordinates in [0, 1)."""
@@ -122,7 +128,7 @@ class Rank1Lattice:
             for j, zj in enumerate(self.z):
                 np.multiply(rows[lo:hi, j], zj, out=term, dtype=np.int64)
                 block += term
-            block %= self.n
+            _mod(block, self.n)
         _blockwise(len(rows), accumulate, np.int64)
         return res
 
@@ -203,7 +209,7 @@ def _powers(g: int, order: int, n: int) -> np.ndarray:
     done = 1
     while done < order:
         step = min(done, order - done)
-        out[done:done + step] = out[:step] * pow(g, done, n) % n
+        out[done:done + step] = _mod(out[:step] * pow(g, done, n), n)
         done += step
     return out
 
@@ -220,7 +226,7 @@ def _unit_group(n: int) -> np.ndarray:
         rest = n // m
         for g, order in _cyclic_factors(q, e):
             lift = (1 + rest * ((g - 1) * pow(rest, -1, m))) % n  # g mod m, 1 mod rest
-            table = table[..., None] * _powers(lift, order, n) % n
+            table = _mod(table[..., None] * _powers(lift, order, n), n)
     return table
 
 
@@ -252,12 +258,12 @@ def _tie_sets(n: int, z: list[int]):
     levels = []
     for g in _divisors(n)[:-1]:
         block = [min(j for j in divs if pow(x, j, n // g) == 1) for x, divs in axes]
-        idx = (g * (units[tuple(map(slice, block))] % (n // g))).astype(np.int32 if n < 2**31 else np.int64)
+        idx = (g * _mod(units[tuple(map(slice, block))].copy(), n // g)).astype(np.int32 if n < 2**31 else np.int64)
         at = tuple(slice(None, None, size // b) for size, b in zip(units.shape, block))
         levels.append((at, idx, units.size // idx.size * scipy.fft.rfftn(omega[idx])))
     prods = np.ones(n)
     for i in itertools.count():
-        prods *= 1.0 + omega[np.arange(n) * z[i] % n]
+        prods *= 1.0 + omega[_mod(np.arange(n) * z[i], n)]
         spectrum = np.zeros(units.shape[:-1] + (units.shape[-1] // 2 + 1,), complex)
         for at, idx, kernel in levels:
             spectrum[at] += np.conj(scipy.fft.rfftn(prods[idx])) * kernel

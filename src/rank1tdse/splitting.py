@@ -71,8 +71,9 @@ class SplittingScheme:
         and its padded copy made per call (n + m2 entries in the index's type: 128 KiB on ``paper-d2``,
         2 MiB on ``paper-d4``),
         one kinetic phase table per distinct nonzero a over the rates (at most n; ``paper-d2``'s 8 277 norms:
-        1.1 n-vectors for ``s17odr8a``), and the four-step pair's twiddle tables and block buffer per thread,
-        made by each stage call (n/2 at 2^16; n/8 at 2^20, n/16 at 2^24 on two)."""
+        1.1 n-vectors for ``s17odr8a``), the four-step pair's twiddle tables, cached per n by
+        ``operators._twiddles``, and its block buffer per thread, made by each stage call (together n/2 at
+        2^16; n/8 at 2^20, n/16 at 2^24 on two)."""
         return len({b for _, b in self.stages} - {0.0}) + 2 + (four_step_split(n) is None)
 
 

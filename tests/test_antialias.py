@@ -360,3 +360,15 @@ def test_cached_build_reuses_file(tmp_path, tiny):
     second = antialias.cached_build(lat, tmp_path)
     assert antialias.cache_path(lat, tmp_path).stat().st_mtime_ns == mtime
     assert np.array_equal(first.freq, second.freq)
+
+
+@pytest.mark.parametrize("make, sha256", [
+    (lambda: load_lattice("paper-d2"), "3c0883d06f04b206460a803590439b0dfad7338c8319b85812f761da8d649fed"),
+    (lambda: load_lattice("paper-d4"), "e27d46245f6ebb7c84b6000ec1764847fe0ca203c8c019b6a1dbf11d0680260d"),
+    (lambda: cbc_construct(3, 2**13), "ddd2abbed4c17049c0889b2ed29bd2fc5ec495a2ce15dbcc66d6c08727a5c059"),
+], ids=["paper-d2", "paper-d4", "cbc-d3-2^13"])
+def test_benchmark_sets_built_cold_hash_as_pinned(make, sha256):
+    """The benchmark's sets, built without a cache, hash to the values ``perfbench/run.py`` pins (``PINS``):
+    a set-up change that moves a set bit fails here, not only in the benchmark.  ``test_cbc_pinned_vectors``
+    pins the CBC's z = (1, 2431, 563)."""
+    assert antialias.build(make()).sha256() == sha256

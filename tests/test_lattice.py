@@ -149,6 +149,34 @@ def test_residues_exact_at_the_documented_bound(d, n):
     assert [int(r) for r in got[:4]] == [sum(int(x) * zj for x, zj in zip(row, lat.z)) % n for row in h[:4]]
 
 
+@pytest.mark.parametrize("n", [1, 2, 2**13, 2**16, 2**24, 3, 1000, 65521, 65537])
+def test_mod_is_numpy_floor_mod_in_place(n):
+    """``_mod`` masks where n is a power of two and divides otherwise; both equal ``np.remainder``, negatives
+    and values near +-2^62 included, and return the array they were given."""
+    rng = np.random.default_rng(n)
+    edges = np.array([0, 1, -1, n - 1, n, -n, n + 1, -n - 1, 2**62, -2**62, 2**62 - 1, 1 - 2**62,
+                      2**63 - 1, -2**63], dtype=np.int64)
+    x = np.concatenate([edges, rng.integers(-2**62, 2**62, 1000), rng.integers(-4 * n, 4 * n, 1000)])
+    want = np.remainder(x, n)
+    assert lattice._mod(x, n) is x
+    assert x.dtype == np.int64 and np.array_equal(x, want)
+
+
+def test_numerators_and_residues_exact_at_a_power_of_two():
+    """At n = 2^k the columns and ``h . z mod n`` are reduced by a mask; they equal Python-int arithmetic,
+    negative h included."""
+    n = 2**16
+    lat = Rank1Lattice(3, n, (1, 34599, 2**16 - 3))
+    for j, zj in enumerate(lat.z):
+        assert lat.numerator_column(j).tolist() == [i * zj % n for i in range(n)]
+        assert lat.numerator_column(j, 70, 5000).tolist() == [i * zj % n for i in range(70, 5000)]
+    rng = np.random.default_rng(1)
+    bound = 2**63 // (lat.d * n) - 1
+    h = np.concatenate([np.full((1, 3), -bound), rng.integers(-bound, bound + 1, (200, 3)),
+                        rng.integers(-40, 41, (200, 3))])
+    assert lat.residues(h).tolist() == [sum(int(x) * zj for x, zj in zip(row, lat.z)) % n for row in h]
+
+
 @pytest.mark.parametrize("n, block, edges", [
     (10, 2, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]),
     (11, 2, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 11)]),  # a one-row tail joins the block before it
